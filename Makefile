@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: ci vet fmt build test race obs-smoke critpath-smoke sched-smoke sched-soa metrics-smoke index-smoke ledger-smoke selfprof-smoke sampling-accuracy bench benchjson profile report
+.PHONY: ci vet fmt build test race flake obs-smoke critpath-smoke sched-smoke sched-soa metrics-smoke index-smoke ledger-smoke selfprof-smoke bench benchjson profile report
 
 ## ci: the pre-merge check — vet, gofmt, build, full tests, race-enabled
-## cache and pipeline tests, the scheduler differential, the SoA/pooling
-## determinism smoke, the sampling accuracy gate, and end-to-end
-## observability, attribution, metrics/tracing, run-ledger and
-## self-profiling smoke tests. Documented in README.md; run before every
-## merge.
-ci: vet fmt build test race sched-smoke sched-soa sampling-accuracy obs-smoke critpath-smoke metrics-smoke index-smoke ledger-smoke selfprof-smoke
+## cache and pipeline tests, the timing-sensitive tests repeated under one
+## and two Ps, the scheduler differential, the SoA/pooling determinism
+## smoke, and end-to-end observability, attribution, metrics/tracing,
+## run-ledger and self-profiling smoke tests. Documented in README.md; run
+## before every merge.
+ci: vet fmt build test race flake sched-smoke sched-soa obs-smoke critpath-smoke metrics-smoke index-smoke ledger-smoke selfprof-smoke
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +31,18 @@ test:
 # magnitude on loaded machines.
 race:
 	$(GO) test -race -timeout 25m ./internal/core ./internal/simcache ./internal/pipeline ./internal/critpath ./internal/ledger ./internal/metrics
+
+# Flake hunt: the timing- and host-sensitive tests (resource accounting,
+# spans, the health sampler, the sweep watchdog) repeated 20 times under
+# GOMAXPROCS=1 and GOMAXPROCS=2, so an intermittent failure shows up here
+# rather than in a later tier-1 run.
+flake:
+	@for p in 1 2; do \
+		GOMAXPROCS=$$p $(GO) test -count=20 ./internal/metrics && \
+		GOMAXPROCS=$$p $(GO) test -count=20 -run 'TestWatchdog' ./internal/core && \
+		GOMAXPROCS=$$p $(GO) test -count=20 -run 'TestDashHealthStrip' ./internal/ledger || exit 1; \
+	done
+	@echo "flake ok"
 
 # End-to-end observability: one observed run, then render + summarize the
 # files it produced; then the same run traced with the binary encoding,
@@ -58,12 +70,11 @@ sched-smoke:
 	$(GO) test -run 'TestSchedulerDifferential' -count=1 ./internal/pipeline
 	@echo "sched-smoke ok"
 
-# SoA/pooling determinism: pooled-machine reuse and the sampled-windows
-# estimator must replay bit-identically under both schedulers and any
-# worker count — the invariants the structure-of-arrays hot loop and the
-# machine pool lean on.
+# SoA/pooling determinism: pooled-machine reuse and uop recycling must
+# replay bit-identically — the invariants the structure-of-arrays hot loop
+# and the machine pool lean on.
 sched-soa:
-	$(GO) test -run 'TestMachineReuse|TestSampledDifferential|TestUop|TestRecycl' -count=1 ./internal/pipeline
+	$(GO) test -run 'TestMachineReuse|TestUop|TestRecycl' -count=1 ./internal/pipeline
 	@echo "sched-soa ok"
 
 # Cycle-loss attribution end to end on the committed tiny trace: the walk
@@ -135,35 +146,29 @@ selfprof-smoke:
 	$(GO) test -run 'TestWatchdog' -count=1 ./internal/core >/dev/null && \
 	rm -rf $$dir && echo "selfprof-smoke ok"
 
-# Sampling accuracy gate: the representative-interval estimator must
-# simulate >=5x fewer instructions in detail than the full run while landing
-# within 1% geomean IPC error on the pinned small-input workload set
-# (internal/pipeline/sampling_accuracy_test.go). This is ISSUE 9's
-# acceptance bar; loosening the thresholds needs a written justification.
-sampling-accuracy:
-	$(GO) test -run 'TestSamplingAccuracyGate' -count=1 ./internal/pipeline
-	@echo "sampling-accuracy ok"
-
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem .
 
 # benchjson: machine-readable microbenchmark baseline for the hot paths the
 # attribution engine leans on (pipeline simulation, the walk itself). The
 # revision and date come from the environment — no clock reads in tool code.
-# The fresh numbers are diffed against the previous PR's committed baseline;
-# a >15% ns/op regression or a >25% allocs/op growth on any shared benchmark
-# fails the target. Each benchmark runs three times and benchjson keeps the
-# fastest, damping scheduler noise. Documents carry a host fingerprint:
-# benchjson warns when the baseline came from a different machine (those
-# deltas measure the hardware as much as the code); pass -strict-host to
-# make that a failure (see README "Performance").
+# The fresh numbers are diffed against the newest committed BENCH_PR<n>.json
+# and written to BENCH_PR<n+1>.json; a >15% ns/op regression or a >25%
+# allocs/op growth on any shared benchmark fails the target. Each benchmark
+# runs three times and benchjson keeps the fastest, damping scheduler noise.
+# Documents carry a host fingerprint: benchjson warns when the baseline came
+# from a different machine (those deltas measure the hardware as much as the
+# code); pass -strict-host to make that a failure (see README "Performance").
 benchjson:
-	$(GO) test -run NONE -bench 'BenchmarkSimulator|BenchmarkAnalyze|BenchmarkIndex|BenchmarkRunSampled|BenchmarkHealth' -benchtime 5x -count 3 -benchmem \
+	@n=$$(git ls-files 'BENCH_PR*.json' | sed 's/^BENCH_PR\([0-9]*\)\.json$$/\1/' | sort -n | tail -1); \
+	[ -n "$$n" ] || { echo "benchjson: no committed BENCH_PR*.json baseline"; exit 1; }; \
+	out=BENCH_PR$$((n + 1)).json; \
+	$(GO) test -run NONE -bench 'BenchmarkSimulator|BenchmarkAnalyze|BenchmarkIndex|BenchmarkHealth' -benchtime 5x -count 3 -benchmem \
 		./internal/pipeline ./internal/critpath ./internal/obs ./internal/metrics | \
 	$(GO) run ./cmd/benchjson -rev "$$(git rev-parse --short HEAD)" \
 		-date "$$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-		-baseline BENCH_PR9.json > BENCH_PR10.json
-	@echo "wrote BENCH_PR10.json"
+		-baseline BENCH_PR$$n.json > $$out && \
+	echo "wrote $$out (baseline BENCH_PR$$n.json)"
 
 # profile: CPU and allocation pprof profiles of the mini-graph simulator
 # benchmark, written to the (gitignored) profiles/ directory. Inspect with

@@ -71,18 +71,8 @@ func main() {
 		wdSlow     = flag.Float64("watchdog-slow", 8, "with -watchdog: flag a task once it exceeds this multiple of the sweep's median task time")
 		wdWedge    = flag.Duration("watchdog-wedge", 2*time.Minute, "with -watchdog: flag the sweep when no task completes for this long")
 	)
-	resolveSample := core.SampleFlags()
 	flag.Parse()
 	runStart := time.Now()
-	sample, err := resolveSample()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mgreport:", err)
-		os.Exit(2)
-	}
-	if sample != nil && *attribW != "" {
-		fmt.Fprintln(os.Stderr, "mgreport: -attrib needs the full-detail run (attribution walks the real pipetrace); drop the -sample-* flags")
-		os.Exit(2)
-	}
 	if *refsched {
 		pipeline.SetDefaultScheduler(pipeline.SchedScan)
 	}
@@ -106,12 +96,9 @@ func main() {
 	}
 
 	opts := core.Options{Input: *input, Workers: *workers, NoCache: *nocache,
-		Obs: obs.FlagOptions(*pipetrace, *ptraceBin, *intervals, *tracedir), Sample: sample}
+		Obs: obs.FlagOptions(*pipetrace, *ptraceBin, *intervals, *tracedir)}
 	if *watchdog {
 		opts.Watchdog = &core.WatchdogConfig{SlowFactor: *wdSlow, Wedge: *wdWedge}
-	}
-	if sample != nil {
-		fmt.Fprintf(os.Stderr, "sampled fidelity %s: series and relative-baseline stats are estimates; profiling and selection stay exact\n", sample.Summary())
 	}
 	if *workloads != "" {
 		opts.Workloads = splitNames(*workloads)

@@ -44,17 +44,7 @@ func main() {
 		ledgerDir  = flag.String("ledger", "", "append a selection record to the persistent ledger in this directory")
 		ledgerRev  = flag.String("ledger-rev", "", "revision label for ledger records (default: MG_REV or the binary's vcs revision)")
 	)
-	resolveSample := core.SampleFlags()
 	flag.Parse()
-	sample, err := resolveSample()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mgselect:", err)
-		os.Exit(2)
-	}
-	if sample != nil && (*pipetrace || *ptraceBin || *intervals > 0) {
-		fmt.Fprintln(os.Stderr, "mgselect: sampled fidelity and observability are mutually exclusive (pipetraces need the real full run)")
-		os.Exit(2)
-	}
 	if *refsched {
 		pipeline.SetDefaultScheduler(pipeline.SchedScan)
 	}
@@ -119,8 +109,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mgselect: unknown selector %q\n", *selName)
 		os.Exit(2)
 	}
-	// cfg is the profiling machine for slack-based policies and, with
-	// -sample-*, the machine the sampled quality estimate runs on.
+	// cfg is the profiling machine for slack-based policies.
 	var cfg pipeline.Config
 	switch *cfgName {
 	case "baseline":
@@ -133,8 +122,8 @@ func main() {
 	}
 
 	t0 := time.Now()
-	// Whole-process deltas: profiling and sampled estimation fan out
-	// across GOMAXPROCS goroutines.
+	// Whole-process deltas, not per-thread: the run is not pinned to an OS
+	// thread, so a thread-local reading would miss time after a migration.
 	cpu0 := metrics.ProcessCPUNanos()
 	gc0 := metrics.GCCycleCount()
 	ctx, runSpan := metrics.StartSpan(context.Background(), "mgselect.run",
@@ -176,21 +165,6 @@ func main() {
 	_, ssp := metrics.StartSpan(ctx, "select", metrics.L("policy", sel.Name()))
 	chosen := bench.Select(sel, prof)
 	ssp.End()
-	var est *pipeline.Stats
-	var estReport pipeline.SampleReport
-	if sample != nil {
-		// Sampled quality estimate of the selection just made: a low-fidelity
-		// timing run on cfg. The selection itself is always exact — sampling
-		// can never change which mini-graphs are chosen.
-		sample.Workers = runtime.GOMAXPROCS(0)
-		_, esp := metrics.StartSpan(ctx, "estimate", metrics.L("config", cfg.Name))
-		est, estReport, err = bench.RunSampledReport(cfg, sel, chosen, *sample)
-		esp.End()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mgselect:", err)
-			os.Exit(1)
-		}
-	}
 	runSpan.End()
 	if tracer != nil {
 		jsonl, terr := metrics.WriteTraceFiles(*traceOut, tracer)
@@ -202,10 +176,8 @@ func main() {
 	}
 	if led := core.RunLedger(); led != nil {
 		// Selection-only record: Cycles stays 0, so history queries list it
-		// but the compare gate never treats it as a timing point. With
-		// -sample-* the record carries the estimated timing instead, tagged
-		// Estimate so the gate never pairs it with an exact run.
-		rec := ledger.Record{
+		// but the compare gate never treats it as a timing point.
+		if aerr := led.Append(ledger.Record{
 			Tool: "mgselect", Workload: *wName, Series: sel.Name(), Input: *input,
 			Cache:    "run",
 			WallMS:   float64(time.Since(t0)) / float64(time.Millisecond),
@@ -213,24 +185,13 @@ func main() {
 			MaxRSSKB: metrics.MaxRSSKB(),
 			GCCycles: metrics.GCCycleCount() - gc0,
 			Coverage: chosen.Coverage(),
-		}
-		if est != nil {
-			rec.Series = sel.Name() + " on " + cfg.Name
-			rec.Estimate, rec.Sample = true, sample.Summary()
-			rec.Cycles, rec.Instrs, rec.Uops = est.Cycles, est.Instrs, est.Uops
-			rec.IPC, rec.UPC = est.IPC(), est.UPC()
-		}
-		if aerr := led.Append(rec); aerr != nil {
+		}); aerr != nil {
 			fmt.Fprintln(os.Stderr, "mgselect: ledger:", aerr)
 		}
 	}
 	fmt.Printf("workload=%s selector=%s candidates=%d\n", *wName, sel.Name(), len(bench.Cands))
 	fmt.Printf("selected: %d instances, %d templates, %.1f%% dynamic coverage\n",
 		len(chosen.Instances), chosen.NumTemplates, 100*chosen.Coverage())
-	if est != nil {
-		fmt.Println(core.SampleBanner(*sample, estReport))
-		fmt.Printf("estimated IPC on %s with this selection: %.4f\n", cfg.Name, est.IPC())
-	}
 	for _, in := range chosen.Instances {
 		c := in.Cand
 		kind := "plain"

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -86,22 +85,8 @@ func main() {
 		ledgerDir = flag.String("ledger", "", "append a run record to the persistent ledger in this directory")
 		ledgerRev = flag.String("ledger-rev", "", "revision label for ledger records (default: MG_REV or the binary's vcs revision)")
 	)
-	resolveSample := core.SampleFlags()
 	flag.Parse()
 	runStart := time.Now()
-	sample, err := resolveSample()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mgsim:", err)
-		os.Exit(2)
-	}
-	if sample != nil && (*pipetrace || *ptraceBin || *intervals > 0) {
-		fmt.Fprintln(os.Stderr, "mgsim: sampled fidelity and observability are mutually exclusive (pipetraces need the real full run)")
-		os.Exit(2)
-	}
-	if sample != nil {
-		// One workload, independent windows: let them fill the machine.
-		sample.Workers = runtime.GOMAXPROCS(0)
-	}
 	if *refsched {
 		pipeline.SetDefaultScheduler(pipeline.SchedScan)
 	}
@@ -170,8 +155,8 @@ func main() {
 	}
 
 	t0 := time.Now()
-	// Whole-process deltas, not per-thread: sampled runs fan out across
-	// GOMAXPROCS goroutines, so thread-local rusage would undercount.
+	// Whole-process deltas, not per-thread: the run is not pinned to an OS
+	// thread, so a thread-local reading would miss time after a migration.
 	cpu0 := metrics.ProcessCPUNanos()
 	gc0 := metrics.GCCycleCount()
 	var watch *obs.Observer
@@ -184,15 +169,11 @@ func main() {
 	}
 
 	var st *pipeline.Stats
-	var srep pipeline.SampleReport
 	if sel == nil {
 		_, ssp := metrics.StartSpan(ctx, "simulate", metrics.L("config", cfg.Name))
-		switch {
-		case sample != nil:
-			st, srep, err = bench.RunSampledReport(cfg, nil, nil, *sample)
-		case watch != nil:
+		if watch != nil {
 			st, err = bench.RunSingletonObserved(cfg, watch)
-		default:
+		} else {
 			st, err = bench.RunSingleton(cfg)
 		}
 		ssp.End()
@@ -215,14 +196,9 @@ func main() {
 		}
 		_, ssp := metrics.StartSpan(ctx, "simulate",
 			metrics.L("config", cfg.Name), metrics.L("policy", sel.Name()))
-		switch {
-		case sample != nil:
-			// Profiling and selection above ran exactly; only the timing run
-			// is estimated.
-			st, srep, err = bench.RunSampledReport(cfg, sel, chosen, *sample)
-		case watch != nil:
+		if watch != nil {
 			st, err = bench.RunObserved(cfg, sel, chosen, watch)
-		default:
+		} else {
 			st, err = bench.Run(cfg, sel, chosen)
 		}
 		ssp.End()
@@ -250,9 +226,9 @@ func main() {
 		if watch != nil {
 			cache = "traced"
 		}
-		rec := ledger.Record{
+		if aerr := led.Append(ledger.Record{
 			Tool: "mgsim", Workload: *wName, Series: cfg.Name + "/" + *selName, Input: *input,
-			Key:      core.TaskKey(bench, sel, cfg, "", cfg, sample).Short(),
+			Key:      core.TaskKey(bench, sel, cfg, "", cfg, nil).Short(),
 			Cache:    cache,
 			WallMS:   float64(time.Since(t0)) / float64(time.Millisecond),
 			CPUMS:    float64(metrics.ProcessCPUNanos()-cpu0) / 1e6,
@@ -260,11 +236,7 @@ func main() {
 			GCCycles: metrics.GCCycleCount() - gc0,
 			Cycles:   st.Cycles, Instrs: st.Instrs, Uops: st.Uops,
 			IPC: st.IPC(), UPC: st.UPC(), Coverage: st.Coverage(),
-		}
-		if sample != nil {
-			rec.Estimate, rec.Sample = true, sample.Summary()
-		}
-		if aerr := led.Append(rec); aerr != nil {
+		}); aerr != nil {
 			fmt.Fprintln(os.Stderr, "mgsim: ledger:", aerr)
 		}
 	}
@@ -277,9 +249,6 @@ func main() {
 	}
 
 	fmt.Printf("workload=%s input=%s config=%s selector=%s\n", *wName, *input, cfg.Name, *selName)
-	if sample != nil {
-		fmt.Println(core.SampleBanner(*sample, srep))
-	}
 	fmt.Print(st)
 	fmt.Fprintln(os.Stderr, metrics.FormatResources(time.Since(runStart)))
 }

@@ -86,9 +86,6 @@ func printHistory(w io.Writer, recs []ledger.Record) {
 		}
 		fmt.Fprintf(w, "%-24s %-12s %-9s %-18s %-26s %-6s %-7s %7.4f %10.1f %s",
 			t, r.Rev, r.Tool, r.Workload, r.Series, r.Input, r.Cache, r.IPC, r.WallMS, cpu)
-		if r.Estimate {
-			fmt.Fprintf(w, "  [est %s]", r.Sample)
-		}
 		if r.Error != "" {
 			fmt.Fprintf(w, "  ERROR: %s", r.Error)
 		}

@@ -197,15 +197,6 @@ func (p *Predictor) PopRAS() (uint32, bool) {
 // NoteRASWrong counts a return misprediction (for stats).
 func (p *Predictor) NoteRASWrong() { p.RASWrong++ }
 
-// ClearStats zeroes the lookup/miss counters, keeping all trained state
-// (tables, history, BTB, RAS). Used after functional warm-up so a measured
-// window starts with clean stats but a hot predictor.
-func (p *Predictor) ClearStats() {
-	p.DirLookups, p.DirMisses = 0, 0
-	p.BTBLookups, p.BTBMisses = 0, 0
-	p.RASPops, p.RASWrong = 0, 0
-}
-
 // MispredictRate returns the fraction of direction lookups mispredicted.
 func (p *Predictor) MispredictRate() float64 {
 	if p.DirLookups == 0 {

@@ -151,12 +151,6 @@ func (c *Cache) Reset() {
 	c.Hits, c.Misses, c.Evictions, c.DirtyEvictions = 0, 0, 0, 0
 }
 
-// ClearStats zeroes the access counters without touching line contents, so
-// a functionally warmed cache starts a measured window with clean stats.
-func (c *Cache) ClearStats() {
-	c.Hits, c.Misses, c.Evictions, c.DirtyEvictions = 0, 0, 0, 0
-}
-
 // MissRate returns misses / (hits+misses).
 func (c *Cache) MissRate() float64 {
 	t := c.Hits + c.Misses
@@ -199,9 +193,6 @@ func (t *TLB) Misses() int64 { return t.inner.Misses }
 
 // Reset restores the TLB to its post-New state without reallocating.
 func (t *TLB) Reset() { t.inner.Reset() }
-
-// ClearStats zeroes the miss counters, keeping translations resident.
-func (t *TLB) ClearStats() { t.inner.ClearStats() }
 
 // HierConfig sizes a full hierarchy.
 type HierConfig struct {
@@ -263,36 +254,6 @@ func (h *Hierarchy) Reset() {
 	h.busFree = 0
 	h.MemAccesses = 0
 }
-
-// ClearStats zeroes every level's access counters and the memory-access
-// count, keeping all resident lines and translations. Pair with WarmI/WarmD:
-// warm first, clear, then measure.
-func (h *Hierarchy) ClearStats() {
-	h.L1I.ClearStats()
-	h.L1D.ClearStats()
-	h.L2.ClearStats()
-	h.ITLB.ClearStats()
-	h.DTLB.ClearStats()
-	h.MemAccesses = 0
-}
-
-// warm performs a functional (timing-free) access: the TLB, L1, and — on an
-// L1 miss — L2 fill exactly as a timed access would, but the memory bus and
-// the MemAccesses counter are untouched, so pre-warming cannot perturb the
-// timing of the measured window that follows.
-func (h *Hierarchy) warm(l1 *Cache, tlb *TLB, addr uint32, write bool) {
-	tlb.Access(addr)
-	hit, _ := l1.Access(addr, write)
-	if !hit {
-		h.L2.Access(addr, false)
-	}
-}
-
-// WarmI functionally fills the instruction path for addr (no timing).
-func (h *Hierarchy) WarmI(addr uint32) { h.warm(h.L1I, h.ITLB, addr, false) }
-
-// WarmD functionally fills the data path for addr (no timing).
-func (h *Hierarchy) WarmD(addr uint32, write bool) { h.warm(h.L1D, h.DTLB, addr, write) }
 
 // memAccess serializes a main-memory transfer on the bus starting no
 // earlier than `ready` and returns its completion cycle.

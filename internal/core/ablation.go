@@ -104,7 +104,7 @@ func evalAblation(w *workload.Workload, opts Options, variants []AblationVariant
 	if err != nil {
 		return nil, nil, err
 	}
-	baseStats, err := singletonStats(ctx, bench, pipeline.Baseline(), nil)
+	baseStats, err := singletonStats(ctx, bench, pipeline.Baseline())
 	if err != nil {
 		return nil, nil, err
 	}

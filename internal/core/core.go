@@ -125,22 +125,6 @@ func (b *Bench) Run(cfg pipeline.Config, sel *selector.Selector, chosen *minigra
 	return pipeline.Run(b.Prog, b.Trace, cfg, mgConfigFor(sel, chosen), nil)
 }
 
-// RunSampled executes the timing pipeline at sampled fidelity: the full
-// trace is sliced per spec and only the selected windows run in detail, so
-// the returned stats are estimates (spec.Mode picks uniform-periodic or
-// representative-interval windowing).
-func (b *Bench) RunSampled(cfg pipeline.Config, sel *selector.Selector, chosen *minigraph.Selection, spec pipeline.SampleSpec) (*pipeline.Stats, error) {
-	st, _, err := b.RunSampledReport(cfg, sel, chosen, spec)
-	return st, err
-}
-
-// RunSampledReport is RunSampled returning the full pipeline.SampleReport
-// (mode, window count, detailed-instruction share, error bound) so drivers
-// can print a fidelity banner next to the estimate.
-func (b *Bench) RunSampledReport(cfg pipeline.Config, sel *selector.Selector, chosen *minigraph.Selection, spec pipeline.SampleSpec) (*pipeline.Stats, pipeline.SampleReport, error) {
-	return pipeline.RunSampledReport(b.Prog, b.Trace, cfg, mgConfigFor(sel, chosen), spec)
-}
-
 // RunObserved is Run with an observer attached collecting pipetrace
 // records and/or interval samples. Observed runs never go through the
 // result cache — the trace is a side effect a cache hit would swallow.

@@ -48,13 +48,6 @@ type Options struct {
 	// regardless of worker count or cache mode (each simulation is
 	// single-threaded and deterministic).
 	Obs *obs.Options
-	// Sample runs every timing simulation (series points and the relative-
-	// performance baseline) at sampled fidelity instead of full detail —
-	// the fast low-fidelity sweep mode. Profiling and selection still run
-	// exactly, so the mini-graph sets are identical to a detailed sweep;
-	// only the timing numbers become estimates. nil = full detail.
-	// Mutually exclusive with Obs (an observer needs the real full run).
-	Sample *pipeline.SampleSpec
 	// Watchdog arms the sweep watchdog (slow-task and wedge detection on
 	// /debug/sweep and the telemetry log) when non-nil. See WatchdogConfig
 	// for the thresholds; the zero value selects all defaults.
@@ -132,9 +125,6 @@ type SweepResult struct {
 // regardless of completion order.
 func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, error) {
 	started := time.Now()
-	if opts.Sample != nil && opts.Obs.Active() {
-		return nil, fmt.Errorf("sweep %q: sampled fidelity and observability are mutually exclusive (pipetraces need the real full run)", title)
-	}
 	// Each sweep is one trace process: tid 0 is the orchestrator, worker k
 	// runs as tid k+1.
 	ctx := metrics.WithTask(context.Background(), metrics.NextPid(), 0)
@@ -237,7 +227,7 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 				// Label the task's goroutine so CPU profiles grabbed from
 				// /debug/pprof attribute samples to (workload, spec).
 				pprof.Do(tctx, pprof.Labels("workload", w.Name, "spec", sp.Label), func(ctx context.Context) {
-					r, err = evalSpec(ctx, w, opts.input(), sp, opts.Obs, opts.Sample)
+					r, err = evalSpec(ctx, w, opts.input(), sp, opts.Obs)
 				})
 				use := um.Since()
 				if metrics.CPUAccountingOn() {
@@ -248,7 +238,7 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 				vals[ti] = [2]float64{r.perf, r.cov}
 				errs[ti] = err
 				meta[ti] = manifestTask(w.Name, sp.Label, k, t0, r.outcome, r.files, r.idx, err)
-				appendTaskRecord(title, w.Name, sp.Label, opts.input(), r.key, r.stats, r.outcome, t0, err, opts.Sample, use)
+				appendTaskRecord(title, w.Name, sp.Label, opts.input(), r.key, r.stats, r.outcome, t0, err, use)
 				track.TaskDone(ti, r.outcome, err)
 				noteTaskMetrics(meta[ti])
 				if l := tlog(); l != nil {
@@ -320,21 +310,11 @@ func writeSweepManifest(title string, opts Options, started time.Time, tasks []o
 			"intervals":     fmt.Sprint(opts.Obs.IntervalEvery),
 			"index-every":   fmt.Sprint(opts.Obs.IndexEvery),
 			"nocache":       fmt.Sprint(opts.NoCache),
-			"sample":        sampleFlag(opts.Sample),
 		},
 		Spans: metrics.TraceOut(),
 		Tasks: tasks,
 	}
 	return obs.WriteManifest(filepath.Join(opts.Obs.Dir, obs.Sanitize(title)+".manifest.json"), m)
-}
-
-// sampleFlag renders the sweep's sampling spec for the manifest ("off" at
-// full detail).
-func sampleFlag(s *pipeline.SampleSpec) string {
-	if s == nil {
-		return "off"
-	}
-	return s.Summary()
 }
 
 // sweepFinishLog emits the sweep.finish telemetry event.
@@ -367,17 +347,15 @@ type specResult struct {
 	key       simcache.Key
 }
 
-// evalSpec computes one (workload, spec) point through the caches. sample
-// selects low-fidelity estimation for both the series run and the relative-
-// performance baseline, so the reported ratio is estimate over estimate.
-func evalSpec(ctx context.Context, w *workload.Workload, input string, sp SeriesSpec, o *obs.Options, sample *pipeline.SampleSpec) (specResult, error) {
+// evalSpec computes one (workload, spec) point through the caches.
+func evalSpec(ctx context.Context, w *workload.Workload, input string, sp SeriesSpec, o *obs.Options) (specResult, error) {
 	var r specResult
 	bench, err := PrepareSharedCtx(ctx, w, input)
 	if err != nil {
 		return r, err
 	}
-	r.key = TaskKey(bench, sp.Sel, profCfgOf(sp), sp.ProfInput, sp.Cfg, sample)
-	baseStats, err := singletonStats(ctx, bench, pipeline.Baseline(), sample)
+	r.key = TaskKey(bench, sp.Sel, profCfgOf(sp), sp.ProfInput, sp.Cfg, nil)
+	baseStats, err := singletonStats(ctx, bench, pipeline.Baseline())
 	if err != nil {
 		return r, err
 	}
@@ -386,10 +364,10 @@ func evalSpec(ctx context.Context, w *workload.Workload, input string, sp Series
 		st, r.files, r.idx, err = runSpecObserved(ctx, bench, sp, o)
 		r.outcome = cacheTraced
 	} else if sp.Sel == nil {
-		st, r.outcome, err = singletonStatsNoted(ctx, bench, sp.Cfg, sample)
+		st, r.outcome, err = singletonStatsNoted(ctx, bench, sp.Cfg)
 	} else {
 		st, r.outcome, err = evalStatsNoted(ctx, bench, sp.Sel, profCfgOf(sp), sp.ProfInput, sp.Cfg,
-			minigraph.DefaultLimits(), minigraph.DefaultSelectConfig(), sample)
+			minigraph.DefaultLimits(), minigraph.DefaultSelectConfig())
 	}
 	if err != nil {
 		return r, err
@@ -501,12 +479,7 @@ func evalWorkloadUncached(ctx context.Context, title string, w *workload.Workloa
 	}
 	_, bsp := metrics.StartSpan(ctx, "simulate",
 		metrics.L("workload", w.Name), metrics.L("config", pipeline.Baseline().Name))
-	var baseStats *pipeline.Stats
-	if opts.Sample != nil {
-		baseStats, err = bench.RunSampled(pipeline.Baseline(), nil, nil, *opts.Sample)
-	} else {
-		baseStats, err = bench.RunSingleton(pipeline.Baseline())
-	}
+	baseStats, err := bench.RunSingleton(pipeline.Baseline())
 	bsp.End()
 	if err != nil {
 		return nil, nil, nil, err
@@ -544,7 +517,7 @@ func evalWorkloadUncached(ctx context.Context, title string, w *workload.Workloa
 		span.End()
 		meta[i] = manifestTask(w.Name, sp.Label, wi, t0, cacheNone, files, idx, err)
 		appendTaskRecord(title, w.Name, sp.Label, opts.input(),
-			TaskKey(bench, sp.Sel, profCfgOf(sp), sp.ProfInput, sp.Cfg, opts.Sample), st, cacheNone, t0, err, opts.Sample, use)
+			TaskKey(bench, sp.Sel, profCfgOf(sp), sp.ProfInput, sp.Cfg, nil), st, cacheNone, t0, err, use)
 		track.TaskDone(wi*len(specs)+i, cacheNone, err)
 		noteTaskMetrics(meta[i])
 		if l := tlog(); l != nil {
@@ -566,7 +539,7 @@ func evalWorkloadUncached(ctx context.Context, title string, w *workload.Workloa
 // locking needed).
 func evalSpecUncached(ctx context.Context, bench *Bench, w *workload.Workload, sp SeriesSpec, opts Options, crossBenches map[string]*Bench) (*pipeline.Stats, []string, *obs.IndexInfo, error) {
 	if sp.Sel == nil {
-		return runUncachedSingleton(bench, sp, opts.Obs, opts.Sample)
+		return runUncachedSingleton(bench, sp, opts.Obs)
 	}
 	profCfg := profCfgOf(sp)
 	profBench := bench
@@ -596,17 +569,12 @@ func evalSpecUncached(ctx context.Context, bench *Bench, w *workload.Workload, s
 		}
 		prof = p
 	}
-	return runUncachedSelected(bench, sp, prof, opts.Obs, opts.Sample)
+	return runUncachedSelected(bench, sp, prof, opts.Obs)
 }
 
 // runUncachedSingleton runs a singleton series point fresh, observed when
-// o is active, at sampled fidelity when sample is non-nil (never both —
-// RunSweep rejects the combination).
-func runUncachedSingleton(b *Bench, sp SeriesSpec, o *obs.Options, sample *pipeline.SampleSpec) (*pipeline.Stats, []string, *obs.IndexInfo, error) {
-	if sample != nil {
-		st, err := b.RunSampled(sp.Cfg, nil, nil, *sample)
-		return st, nil, nil, err
-	}
+// o is active.
+func runUncachedSingleton(b *Bench, sp SeriesSpec, o *obs.Options) (*pipeline.Stats, []string, *obs.IndexInfo, error) {
 	if !o.Active() {
 		st, err := b.RunSingleton(sp.Cfg)
 		return st, nil, nil, err
@@ -623,14 +591,9 @@ func runUncachedSingleton(b *Bench, sp SeriesSpec, o *obs.Options, sample *pipel
 }
 
 // runUncachedSelected selects with sp.Sel over prof and runs fresh,
-// observed when o is active, at sampled fidelity when sample is non-nil
-// (selection is exact either way; only the timing run is estimated).
-func runUncachedSelected(b *Bench, sp SeriesSpec, prof *slack.Profile, o *obs.Options, sample *pipeline.SampleSpec) (*pipeline.Stats, []string, *obs.IndexInfo, error) {
+// observed when o is active.
+func runUncachedSelected(b *Bench, sp SeriesSpec, prof *slack.Profile, o *obs.Options) (*pipeline.Stats, []string, *obs.IndexInfo, error) {
 	chosen := b.Select(sp.Sel, prof)
-	if sample != nil {
-		st, err := b.RunSampled(sp.Cfg, sp.Sel, chosen, *sample)
-		return st, nil, nil, err
-	}
 	if !o.Active() {
 		st, err := b.Run(sp.Cfg, sp.Sel, chosen)
 		return st, nil, nil, err
@@ -811,7 +774,7 @@ func LimitStudy(workloadName, input string, workers int) (*LimitResult, error) {
 	n := len(top)
 	red := pipeline.Reduced()
 
-	baseStats, err := singletonStats(context.Background(), bench, pipeline.Baseline(), nil)
+	baseStats, err := singletonStats(context.Background(), bench, pipeline.Baseline())
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func RunLedger() *ledger.Ledger { return runLedger.Load() }
 // no-op when no ledger is installed. Append failures are reported through
 // telemetry rather than failing the sweep: history is an observability
 // concern, never a correctness one.
-func appendTaskRecord(sweep, workload, series, input string, key simcache.Key, st *pipeline.Stats, outcome string, started time.Time, err error, sample *pipeline.SampleSpec, use metrics.Usage) {
+func appendTaskRecord(sweep, workload, series, input string, key simcache.Key, st *pipeline.Stats, outcome string, started time.Time, err error, use metrics.Usage) {
 	l := runLedger.Load()
 	if l == nil {
 		return
@@ -54,10 +54,6 @@ func appendTaskRecord(sweep, workload, series, input string, key simcache.Key, s
 		CPUMS:    float64(use.CPUNanos) / 1e6,
 		MaxRSSKB: use.MaxRSSKB,
 		GCCycles: use.GCCycles,
-	}
-	if sample != nil {
-		r.Estimate = true
-		r.Sample = sample.Summary()
 	}
 	if st != nil {
 		r.Cycles, r.Instrs, r.Uops = st.Cycles, st.Instrs, st.Uops

@@ -121,38 +121,21 @@ func identityOf(sel *selector.Selector) selIdentity {
 	return selIdentity{Name: sel.Name(), Dyn: sel.Dyn}
 }
 
-// sampleIdentity normalizes a sampling spec to the fields that determine
-// the estimate: the worker count only changes who simulates a window, never
-// the result (see TestRepresentativeWorkersDeterministic), so it must not
-// fragment the result cache.
-func sampleIdentity(s pipeline.SampleSpec) pipeline.SampleSpec {
-	s.Workers = 0
-	return s
-}
-
 // singletonStats returns the cached singleton (no mini-graphs) timing of
-// bench b on cfg. sample selects low-fidelity estimation (nil = full
-// detail); sampled results are cached under distinct keys so an estimate
-// can never answer for an exact run.
-func singletonStats(ctx context.Context, b *Bench, cfg pipeline.Config, sample *pipeline.SampleSpec) (*pipeline.Stats, error) {
-	st, _, err := singletonStatsNoted(ctx, b, cfg, sample)
+// bench b on cfg.
+func singletonStats(ctx context.Context, b *Bench, cfg pipeline.Config) (*pipeline.Stats, error) {
+	st, _, err := singletonStatsNoted(ctx, b, cfg)
 	return st, err
 }
 
 // singletonStatsNoted is singletonStats plus the cache outcome for
 // telemetry.
-func singletonStatsNoted(ctx context.Context, b *Bench, cfg pipeline.Config, sample *pipeline.SampleSpec) (*pipeline.Stats, string, error) {
+func singletonStatsNoted(ctx context.Context, b *Bench, cfg pipeline.Config) (*pipeline.Stats, string, error) {
 	key := simcache.Fingerprint("singleton", b.Workload.Name, b.Input, cfg)
-	if sample != nil {
-		key = simcache.Fingerprint("singleton-sampled", b.Workload.Name, b.Input, cfg, sampleIdentity(*sample))
-	}
 	return doNoted(ctx, resultCache, key, func(ctx context.Context) (*pipeline.Stats, error) {
 		_, sp := metrics.StartSpan(ctx, "simulate",
 			metrics.L("workload", b.Workload.Name), metrics.L("config", cfg.Name))
 		defer sp.End()
-		if sample != nil {
-			return b.RunSampled(cfg, nil, nil, *sample)
-		}
 		return b.RunSingleton(cfg)
 	})
 }
@@ -211,24 +194,17 @@ func collectProfile(ctx context.Context, b *Bench, profCfg pipeline.Config, prof
 // budget knobs (pass the defaults for non-ablation series, so equal work
 // dedupes across figure and ablation drivers).
 func evalStats(ctx context.Context, b *Bench, sel *selector.Selector, profCfg pipeline.Config, profInput string, runCfg pipeline.Config, limits minigraph.Limits, selCfg minigraph.SelectConfig) (*pipeline.Stats, error) {
-	st, _, err := evalStatsNoted(ctx, b, sel, profCfg, profInput, runCfg, limits, selCfg, nil)
+	st, _, err := evalStatsNoted(ctx, b, sel, profCfg, profInput, runCfg, limits, selCfg)
 	return st, err
 }
 
-// evalStatsNoted is evalStats plus the cache outcome for telemetry and a
-// sampling spec (nil = full detail). Sampling applies only to the final
-// timing run — profiling and selection always run exactly, so a sampled
-// series evaluates the same mini-graph set as a detailed one.
-func evalStatsNoted(ctx context.Context, b *Bench, sel *selector.Selector, profCfg pipeline.Config, profInput string, runCfg pipeline.Config, limits minigraph.Limits, selCfg minigraph.SelectConfig, sample *pipeline.SampleSpec) (*pipeline.Stats, string, error) {
+// evalStatsNoted is evalStats plus the cache outcome for telemetry.
+func evalStatsNoted(ctx context.Context, b *Bench, sel *selector.Selector, profCfg pipeline.Config, profInput string, runCfg pipeline.Config, limits minigraph.Limits, selCfg minigraph.SelectConfig) (*pipeline.Stats, string, error) {
 	if profInput == "" {
 		profInput = b.Input
 	}
 	key := simcache.Fingerprint("eval", b.Workload.Name, b.Input,
 		identityOf(sel), profCfg, profInput, runCfg, limits, selCfg)
-	if sample != nil {
-		key = simcache.Fingerprint("eval-sampled", b.Workload.Name, b.Input,
-			identityOf(sel), profCfg, profInput, runCfg, limits, selCfg, sampleIdentity(*sample))
-	}
 	return doNoted(ctx, resultCache, key, func(ctx context.Context) (*pipeline.Stats, error) {
 		chosen, err := deriveSelection(ctx, b, sel, profCfg, profInput, limits, selCfg)
 		if err != nil {
@@ -238,9 +214,6 @@ func evalStatsNoted(ctx context.Context, b *Bench, sel *selector.Selector, profC
 			metrics.L("workload", b.Workload.Name), metrics.L("config", runCfg.Name),
 			metrics.L("policy", sel.Name()))
 		defer sp.End()
-		if sample != nil {
-			return b.RunSampled(runCfg, sel, chosen, *sample)
-		}
 		return b.Run(runCfg, sel, chosen)
 	})
 }
@@ -249,22 +222,14 @@ func evalStatsNoted(ctx context.Context, b *Bench, sel *selector.Selector, profC
 // the same key singletonStatsNoted/evalStatsNoted file the result under
 // (with default enumeration limits and MGT budget), exported so run-ledger
 // records carry the identity the cache uses. sel == nil means singleton
-// execution; profInput == "" means self-trained; sample == nil means full
-// detail (sampled estimates live under distinct keys).
-func TaskKey(b *Bench, sel *selector.Selector, profCfg pipeline.Config, profInput string, runCfg pipeline.Config, sample *pipeline.SampleSpec) simcache.Key {
+// execution; profInput == "" means self-trained. The last parameter must
+// be nil; it is kept for reprobench and dropped by the next benchmark PR.
+func TaskKey(b *Bench, sel *selector.Selector, profCfg pipeline.Config, profInput string, runCfg pipeline.Config, _ *struct{}) simcache.Key {
 	if sel == nil {
-		if sample != nil {
-			return simcache.Fingerprint("singleton-sampled", b.Workload.Name, b.Input, runCfg, sampleIdentity(*sample))
-		}
 		return simcache.Fingerprint("singleton", b.Workload.Name, b.Input, runCfg)
 	}
 	if profInput == "" {
 		profInput = b.Input
-	}
-	if sample != nil {
-		return simcache.Fingerprint("eval-sampled", b.Workload.Name, b.Input,
-			identityOf(sel), profCfg, profInput, runCfg,
-			minigraph.DefaultLimits(), minigraph.DefaultSelectConfig(), sampleIdentity(*sample))
 	}
 	return simcache.Fingerprint("eval", b.Workload.Name, b.Input,
 		identityOf(sel), profCfg, profInput, runCfg,

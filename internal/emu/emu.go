@@ -10,6 +10,8 @@
 package emu
 
 import (
+	"fmt"
+
 	"repro/internal/isa"
 	"repro/internal/prog"
 )
@@ -129,34 +131,197 @@ func (m *Memory) LoadImage(base uint32, data []byte) {
 	}
 }
 
-// Clone deep-copies the sparse page set. The clone and the original are
-// fully independent.
-func (m *Memory) Clone() *Memory {
-	c := &Memory{}
-	if m.pages != nil {
-		c.pages = make(map[uint32]*[pageSize]byte, len(m.pages))
-		for k, p := range m.pages {
-			cp := new([pageSize]byte)
-			*cp = *p
-			c.pages[k] = cp
-		}
-	}
-	return c
-}
-
-// Pages returns the number of touched memory pages (checkpoint footprint).
-func (m *Memory) Pages() int { return len(m.pages) }
-
 // Run executes p to the halt instruction and returns the trace and final
 // state. It returns an error for runaway executions, out-of-range control
-// transfers, or falling off the end of the code. It is the one-shot form of
-// the resumable State (see state.go).
+// transfers, or falling off the end of the code.
 func Run(p *prog.Program, opts Options) (*Result, error) {
-	s := NewState(p, opts)
-	if err := s.RunToEnd(); err != nil {
-		return nil, err
+	maxInstrs := opts.MaxInstrs
+	if maxInstrs == 0 {
+		maxInstrs = DefaultMaxInstrs
 	}
-	return s.Result(), nil
+	var mem Memory
+	mem.LoadImage(prog.DataBase, p.Data)
+	var regs [isa.NumRegs]uint32
+	regs[isa.SP] = prog.StackTop
+	collect := opts.CollectTrace
+	var trace []Rec
+	if collect {
+		trace = make([]Rec, 0, 1<<16)
+	}
+	code := p.Code
+	n := len(code)
+	pc := p.Entry
+	var dyn, loads, stores, branches, takenCnt int64
+
+	read := func(r isa.Reg) uint32 {
+		if r == isa.ZeroReg || r == isa.NoReg {
+			return 0
+		}
+		return regs[r]
+	}
+	write := func(r isa.Reg, v uint32) {
+		if r != isa.ZeroReg && r != isa.NoReg && r.Valid() {
+			regs[r] = v
+		}
+	}
+
+	for {
+		if dyn >= maxInstrs {
+			return nil, fmt.Errorf("emu: %s exceeded %d dynamic instructions", p.Name, maxInstrs)
+		}
+		if pc < 0 || pc >= n {
+			return nil, fmt.Errorf("emu: %s: pc %d out of range", p.Name, pc)
+		}
+		in := code[pc]
+		next := pc + 1
+		var addr uint32
+		taken := false
+
+		switch in.Op {
+		case isa.OpNop:
+		case isa.OpHalt:
+			// Committed below, then the run ends.
+		case isa.OpAdd:
+			write(in.Rd, read(in.Rs1)+read(in.Rs2))
+		case isa.OpSub:
+			write(in.Rd, read(in.Rs1)-read(in.Rs2))
+		case isa.OpAnd:
+			write(in.Rd, read(in.Rs1)&read(in.Rs2))
+		case isa.OpOr:
+			write(in.Rd, read(in.Rs1)|read(in.Rs2))
+		case isa.OpXor:
+			write(in.Rd, read(in.Rs1)^read(in.Rs2))
+		case isa.OpSll:
+			write(in.Rd, read(in.Rs1)<<(read(in.Rs2)&31))
+		case isa.OpSrl:
+			write(in.Rd, read(in.Rs1)>>(read(in.Rs2)&31))
+		case isa.OpSra:
+			write(in.Rd, uint32(int32(read(in.Rs1))>>(read(in.Rs2)&31)))
+		case isa.OpCmpEq:
+			write(in.Rd, b2u(read(in.Rs1) == read(in.Rs2)))
+		case isa.OpCmpLt:
+			write(in.Rd, b2u(int32(read(in.Rs1)) < int32(read(in.Rs2))))
+		case isa.OpCmpLe:
+			write(in.Rd, b2u(int32(read(in.Rs1)) <= int32(read(in.Rs2))))
+		case isa.OpCmpUlt:
+			write(in.Rd, b2u(read(in.Rs1) < read(in.Rs2)))
+		case isa.OpAddi:
+			write(in.Rd, read(in.Rs1)+uint32(in.Imm))
+		case isa.OpSubi:
+			write(in.Rd, read(in.Rs1)-uint32(in.Imm))
+		case isa.OpAndi:
+			write(in.Rd, read(in.Rs1)&uint32(in.Imm))
+		case isa.OpOri:
+			write(in.Rd, read(in.Rs1)|uint32(in.Imm))
+		case isa.OpXori:
+			write(in.Rd, read(in.Rs1)^uint32(in.Imm))
+		case isa.OpSlli:
+			write(in.Rd, read(in.Rs1)<<(uint32(in.Imm)&31))
+		case isa.OpSrli:
+			write(in.Rd, read(in.Rs1)>>(uint32(in.Imm)&31))
+		case isa.OpSrai:
+			write(in.Rd, uint32(int32(read(in.Rs1))>>(uint32(in.Imm)&31)))
+		case isa.OpCmpEqi:
+			write(in.Rd, b2u(read(in.Rs1) == uint32(in.Imm)))
+		case isa.OpCmpLti:
+			write(in.Rd, b2u(int32(read(in.Rs1)) < int32(in.Imm)))
+		case isa.OpCmpLei:
+			write(in.Rd, b2u(int32(read(in.Rs1)) <= int32(in.Imm)))
+		case isa.OpLda:
+			write(in.Rd, uint32(in.Imm))
+		case isa.OpMul:
+			write(in.Rd, read(in.Rs1)*read(in.Rs2))
+		case isa.OpDiv:
+			d := int32(read(in.Rs2))
+			if d == 0 {
+				write(in.Rd, 0) // division by zero is defined as 0
+			} else {
+				write(in.Rd, uint32(int32(read(in.Rs1))/d))
+			}
+		case isa.OpRem:
+			d := int32(read(in.Rs2))
+			if d == 0 {
+				write(in.Rd, 0)
+			} else {
+				write(in.Rd, uint32(int32(read(in.Rs1))%d))
+			}
+		case isa.OpLdw:
+			addr = read(in.Rs1) + uint32(in.Imm)
+			write(in.Rd, mem.LoadWord(addr))
+			loads++
+		case isa.OpLdb:
+			addr = read(in.Rs1) + uint32(in.Imm)
+			write(in.Rd, uint32(mem.LoadByte(addr)))
+			loads++
+		case isa.OpStw:
+			addr = read(in.Rs1) + uint32(in.Imm)
+			mem.StoreWord(addr, read(in.Rs2))
+			stores++
+		case isa.OpStb:
+			addr = read(in.Rs1) + uint32(in.Imm)
+			mem.StoreByte(addr, byte(read(in.Rs2)))
+			stores++
+		case isa.OpBr:
+			next, taken = in.Targ, true
+			branches++
+			takenCnt++
+		case isa.OpBeqz, isa.OpBnez, isa.OpBltz, isa.OpBgez:
+			v := int32(read(in.Rs1))
+			switch in.Op {
+			case isa.OpBeqz:
+				taken = v == 0
+			case isa.OpBnez:
+				taken = v != 0
+			case isa.OpBltz:
+				taken = v < 0
+			case isa.OpBgez:
+				taken = v >= 0
+			}
+			if taken {
+				next = in.Targ
+				takenCnt++
+			}
+			branches++
+		case isa.OpJsr:
+			write(in.Rd, prog.PCOf(pc+1))
+			next, taken = in.Targ, true
+			branches++
+			takenCnt++
+		case isa.OpJsrI:
+			t := read(in.Rs1)
+			write(in.Rd, prog.PCOf(pc+1))
+			next, taken = prog.IndexOf(t), true
+			branches++
+			takenCnt++
+		case isa.OpJmp, isa.OpRet:
+			next, taken = prog.IndexOf(read(in.Rs1)), true
+			branches++
+			takenCnt++
+		default:
+			return nil, fmt.Errorf("emu: %s: pc %d: unimplemented op %s", p.Name, pc, in.Op)
+		}
+
+		dyn++
+		if in.Op == isa.OpHalt {
+			if collect {
+				trace = append(trace, Rec{Index: int32(pc), Next: -1})
+			}
+			break
+		}
+		if collect {
+			trace = append(trace, Rec{Index: int32(pc), Next: int32(next), Addr: addr, Taken: taken})
+		}
+		pc = next
+	}
+	return &Result{
+		Trace:     trace,
+		DynInstrs: dyn,
+		Regs:      regs,
+		Loads:     loads,
+		Stores:    stores,
+		Branches:  branches,
+		Taken:     takenCnt,
+	}, nil
 }
 
 func b2u(b bool) uint32 {

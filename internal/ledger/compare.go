@@ -30,12 +30,6 @@ type Delta struct {
 	// CrossHost flags records from different machines: IPC is still
 	// comparable (simulated cycles are deterministic), wall time is not.
 	CrossHost bool
-
-	// Mixed flags a fidelity mismatch: one side is a sampled estimate and
-	// the other an exact run (or both are estimates under different
-	// sampling specs). Such deltas measure the estimator, not the code —
-	// the gate skips them and the table calls them out.
-	Mixed bool
 }
 
 // Compare pairs the latest timing record of every series point at revA
@@ -66,7 +60,6 @@ func Compare(recs []Record, revA, revB string) []Delta {
 			A:         a,
 			B:         b,
 			CrossHost: !a.Host.SameMachine(b.Host),
-			Mixed:     a.Estimate != b.Estimate || a.Sample != b.Sample,
 		}
 		if a.IPC > 0 {
 			d.IPCPct = (b.IPC - a.IPC) / a.IPC
@@ -108,15 +101,10 @@ func realWall(r Record) bool {
 // when both records carry CPU accounting. CPU time is robust to host load,
 // and machines of the same class agree well enough that the CPU gate
 // applies to cross-host pairs too — it is the preferred cost gate.
-// Mixed-fidelity pairs (a sampled estimate against an exact run) are
-// skipped entirely — their delta measures the estimator's error, not a
-// code change. Tolerances are fractions (0.05 = 5%).
+// Tolerances are fractions (0.05 = 5%).
 func Gate(deltas []Delta, ipcTol, wallTol, cpuTol float64) []string {
 	var fails []string
 	for _, d := range deltas {
-		if d.Mixed {
-			continue
-		}
 		point := fmt.Sprintf("%s/%s [%s]", d.Workload, d.Series, d.Input)
 		if d.IPCPct < -ipcTol {
 			fails = append(fails, fmt.Sprintf("%s: IPC %.4f -> %.4f (%+.1f%%)",
@@ -146,14 +134,11 @@ func WriteCompareText(w io.Writer, revA, revB string, deltas []Delta) error {
 		"Δipc%", "wall@A ms", "wall@B ms", "Δwall%", "Δcpu%"); err != nil {
 		return err
 	}
-	cross, mixed := false, false
+	cross := false
 	for _, d := range deltas {
 		note := ""
 		if d.CrossHost {
-			note, cross = note+"  [cross-host]", true
-		}
-		if d.Mixed {
-			note, mixed = note+"  [mixed-fidelity]", true
+			note, cross = "  [cross-host]", true
 		}
 		cpu := fmt.Sprintf("%8s", "–") // either side predates CPU accounting
 		if d.A.CPUMS > 0 && d.B.CPUMS > 0 {
@@ -167,11 +152,6 @@ func WriteCompareText(w io.Writer, revA, revB string, deltas []Delta) error {
 	}
 	if cross {
 		if _, err := fmt.Fprintln(w, "note: [cross-host] points were recorded on different machines — wall-time deltas measure the hardware, IPC deltas remain valid"); err != nil {
-			return err
-		}
-	}
-	if mixed {
-		if _, err := fmt.Fprintln(w, "warning: [mixed-fidelity] points pair a sampled estimate with an exact run (or two different sampling specs) — their deltas measure the estimator, not the code, and the regression gate skips them"); err != nil {
 			return err
 		}
 	}

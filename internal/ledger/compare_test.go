@@ -1,6 +1,10 @@
 package ledger
 
 import (
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -221,53 +225,41 @@ func TestCompareSkipsNonTiming(t *testing.T) {
 	}
 }
 
-// TestGateSkipsMixedFidelity pairs a sampled estimate against an exact run
-// (and two estimates under different sampling specs): the deltas must be
-// flagged Mixed, skipped by the gate even when the IPC drop is huge, and
-// called out in the rendered table. Two estimates under the *same* spec
-// remain comparable.
-func TestGateSkipsMixedFidelity(t *testing.T) {
-	recs := history(map[string]float64{"w1": 0.5, "w2": 0.5, "w3": 0.5}) // -50% everywhere
-	for i := range recs {
-		switch {
-		case recs[i].Rev == "B" && recs[i].Workload == "w1":
-			// Estimate vs exact.
-			recs[i].Estimate, recs[i].Sample = true, "rep/i1000/w1000/k8"
-		case recs[i].Workload == "w2":
-			// Estimate vs estimate, different specs.
-			recs[i].Estimate = true
-			recs[i].Sample = "rep/i1000/w1000/k8"
-			if recs[i].Rev == "B" {
-				recs[i].Sample = "uniform/i50000/w1000/u2000"
-			}
-		case recs[i].Workload == "w3":
-			// Estimate vs estimate, same spec: still comparable.
-			recs[i].Estimate, recs[i].Sample = true, "rep/i1000/w1000/k8"
-		}
+// legacyEstimateLine is a ledger line written while sampled simulation
+// existed: CRC-valid, but its timing is an estimate ("estimate":true).
+const legacyEstimateLine = `v1 dc7cd060 {"time":"2026-08-08T12:27:47Z","rev":"b0eb6f7","run":"1754656067000000000-4242","tool":"mgsim","workload":"comm.crc32","series":"reduced-3way/Slack-Profile","input":"small","key":"952cbf45a6b57d1a","cache":"run","estimate":true,"sample":"rep/i1000/w1000/k8","wall_ms":12.5,"cycles":20000,"instrs":30000,"uops":25000,"ipc":1.5,"upc":1.25,"host":{"hostname":"build-01","cpu":"Intel(R) Xeon(R) Processor","gomaxprocs":2,"go":"go1.24.0","os":"linux","arch":"amd64"}}`
+
+// TestLegacyEstimateRecordsSkipped reads a ledger holding an old estimate
+// record next to an exact record of the same point at a later rev: the
+// estimate must count as skipped, never reach Compare, and so never be
+// gated against the exact run (a 33% IPC drop here).
+func TestLegacyEstimateRecordsSkipped(t *testing.T) {
+	var want uint32
+	body := legacyEstimateLine[len(linePrefix)+9:]
+	if _, err := fmt.Sscanf(legacyEstimateLine[len(linePrefix):len(linePrefix)+8], "%08x", &want); err != nil ||
+		crc32.Checksum([]byte(body), castagnoli) != want {
+		t.Fatal("fixture line must be CRC-valid so only the estimate flag rejects it")
 	}
-	deltas := Compare(recs, "A", "B")
-	if len(deltas) != 3 {
-		t.Fatalf("got %d deltas, want 3", len(deltas))
-	}
-	for _, d := range deltas {
-		if want := d.Workload != "w3"; d.Mixed != want {
-			t.Fatalf("%s: Mixed=%v, want %v", d.Workload, d.Mixed, want)
-		}
-	}
-	fails := Gate(deltas, 0.05, 0, 0)
-	if len(fails) != 1 || !strings.Contains(fails[0], "w3") {
-		t.Fatalf("gate: %v, want only the same-spec w3 regression", fails)
-	}
-	var sb strings.Builder
-	if err := WriteCompareText(&sb, "A", "B", deltas); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, FileName), []byte(legacyEstimateLine+"\n"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	if strings.Count(out, "  [mixed-fidelity]") != 2 {
-		t.Errorf("want 2 [mixed-fidelity] notes:\n%s", out)
+	l := mustOpen(t, dir, "next")
+	exact := rec("comm.crc32", 1.0)
+	exact.Series = "reduced-3way/Slack-Profile"
+	if err := l.Append(exact); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out, "warning: [mixed-fidelity]") {
-		t.Errorf("missing mixed-fidelity warning footer:\n%s", out)
+	recs, skipped, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped != 1 || len(recs) != 1 || recs[0].Rev != "next" {
+		t.Fatalf("read %d records (skipped %d), want only the exact record with 1 skipped", len(recs), skipped)
+	}
+	deltas := Compare(recs, "b0eb6f7", "next")
+	if len(deltas) != 0 || len(Gate(deltas, 0.05, 0, 0)) != 0 {
+		t.Fatalf("estimate record paired with an exact run: %+v", deltas)
 	}
 }
 

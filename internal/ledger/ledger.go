@@ -134,13 +134,6 @@ type Record struct {
 	Key   string `json:"key,omitempty"`
 	Cache string `json:"cache,omitempty"` // hit/miss/shared/traced/nocache
 
-	// Estimate marks a sampled (low-fidelity) run: the metrics below are
-	// statistical estimates, not exact simulation, and must never be
-	// compared against exact records (the compare gate skips mixed pairs).
-	// Sample carries the sampling-spec tag, e.g. "rep/i1000/w1000/k8".
-	Estimate bool   `json:"estimate,omitempty"`
-	Sample   string `json:"sample,omitempty"`
-
 	WallMS float64 `json:"wall_ms"`
 
 	// CPUMS is the task's consumed CPU time: a per-OS-thread rusage delta
@@ -333,11 +326,17 @@ func parseLine(line []byte) (Record, bool) {
 	if crc32.Checksum(body, castagnoli) != want {
 		return Record{}, false
 	}
-	var r Record
-	if err := json.Unmarshal(body, &r); err != nil {
+	// Records written while sampled simulation existed may carry
+	// "estimate":true. Their timing is an estimate, not a simulation, so
+	// they are invalid here rather than silently comparable to exact runs.
+	var r struct {
+		Record
+		Estimate bool `json:"estimate"`
+	}
+	if err := json.Unmarshal(body, &r); err != nil || r.Estimate {
 		return Record{}, false
 	}
-	return r, true
+	return r.Record, true
 }
 
 // ReadDir reads the ledger history under a -ledger directory.

@@ -59,7 +59,8 @@ type UsageMark struct {
 }
 
 // MarkUsage snapshots the calling thread's CPU time and the process GC and
-// allocation counters.
+// allocation counters. The caller must stay pinned to its OS thread
+// (runtime.LockOSThread) until Since, or the CPU delta is meaningless.
 func MarkUsage() UsageMark {
 	s := []rtm.Sample{
 		{Name: "/gc/cycles/total:gc-cycles"},

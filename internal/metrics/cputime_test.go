@@ -36,8 +36,11 @@ func TestThreadCPUNanos(t *testing.T) {
 }
 
 // TestMarkUsage brackets a busy, allocating region with MarkUsage/Since
-// and checks the deltas are sane.
+// and checks the deltas are sane. The goroutine is pinned, as MarkUsage's
+// contract requires: unpinned, a migration would clamp the CPU delta to 0.
 func TestMarkUsage(t *testing.T) {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	m := MarkUsage()
 	_ = burnCPU(50 * time.Millisecond)
 	sink := make([][]byte, 0, 64)

@@ -23,24 +23,25 @@ type SpanRecord struct {
 	Tid    int    `json:"tid"` // thread row: one per worker (0 = orchestrator)
 	Start  int64  `json:"start_ns"`
 	End    int64  `json:"end_ns"`
-	// CPUNanos is the exact CPU time the span consumed (RUSAGE_THREAD
-	// delta), captured when CPU accounting is on (SetCPUAccounting) and the
-	// goroutine stayed on one pinned OS thread; 0 = not measured.
+	// CPUNanos is the exact CPU time the span consumed, stamped with
+	// SetCPUNanos by a caller that measured it on a pinned OS thread (the
+	// sweep workers' task spans); 0 = not measured.
 	CPUNanos int64   `json:"cpu_ns,omitempty"`
 	Attrs    []Label `json:"attrs,omitempty"`
 }
 
-// cpuAccounting gates per-span thread-CPU capture. Off by default: spans
-// must stay deterministic under fake-clock tracers (golden tests), and an
-// unpinned goroutine can migrate OS threads mid-span, which would make the
-// delta meaningless. Drivers enable it alongside -trace-out; sweep workers
-// pin their threads, so phase spans under a task measure exactly.
+// cpuAccounting tells pinned callers to stamp their spans' CPU time with
+// SetCPUNanos. Off by default so fake-clock traces stay deterministic
+// (golden tests); drivers enable it alongside -trace-out. Spans never read
+// thread CPU themselves: an unpinned goroutine can migrate OS threads
+// mid-span, which would make a thread delta meaningless, so spans nobody
+// stamps (the sweep span, driver spans) record no CPU.
 var cpuAccounting atomic.Bool
 
-// SetCPUAccounting toggles per-span CPU-time capture process-wide.
+// SetCPUAccounting toggles per-span CPU-time stamping process-wide.
 func SetCPUAccounting(on bool) { cpuAccounting.Store(on) }
 
-// CPUAccountingOn reports whether per-span CPU capture is enabled.
+// CPUAccountingOn reports whether pinned callers should stamp span CPU.
 func CPUAccountingOn() bool { return cpuAccounting.Load() }
 
 // Tracer collects finished spans. Recording is a mutex-guarded append;
@@ -111,10 +112,8 @@ func (t *Tracer) Reset() {
 // Span is an in-flight timed region. A nil Span (tracing off) is valid:
 // every method is a no-op.
 type Span struct {
-	t        *Tracer
-	rec      SpanRecord
-	cpuOn    bool
-	cpuStart int64
+	t   *Tracer
+	rec SpanRecord
 }
 
 type ctxKey int
@@ -166,23 +165,19 @@ func StartSpan(ctx context.Context, name string, attrs ...Label) (context.Contex
 		s.rec.Pid = id.pid
 		s.rec.Tid = id.tid
 	}
-	if cpuAccounting.Load() {
-		s.cpuOn = true
-		s.cpuStart = threadCPUNanos()
-	}
 	s.rec.Start = t.clock()
 	return context.WithValue(ctx, ctxSpan, s), s
 }
 
-// SetCPUNanos overrides the span's CPU time with an externally measured
-// value (the sweep workers bracket whole tasks with MarkUsage/Since and
-// stamp the exact delta here); non-positive values are ignored.
+// SetCPUNanos records the span's CPU time, measured by the caller on a
+// pinned OS thread (the sweep workers bracket whole tasks with
+// MarkUsage/Since and stamp the exact delta here); non-positive values are
+// ignored.
 func (s *Span) SetCPUNanos(n int64) {
 	if s == nil || n <= 0 {
 		return
 	}
 	s.rec.CPUNanos = n
-	s.cpuOn = false
 }
 
 // SetAttr attaches (or appends) an attribute; call before End.
@@ -203,13 +198,6 @@ func (s *Span) SetAttr(key, value string) {
 func (s *Span) End() {
 	if s == nil {
 		return
-	}
-	if s.cpuOn {
-		// Clamp migrations (unpinned goroutine moved threads) to "not
-		// measured" rather than recording another thread's time.
-		if d := threadCPUNanos() - s.cpuStart; d > 0 {
-			s.rec.CPUNanos = d
-		}
 	}
 	s.rec.End = s.t.clock()
 	if s.rec.End < s.rec.Start {

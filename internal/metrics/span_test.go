@@ -260,10 +260,11 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 }
 
-// TestSpanCPUAccounting covers the opt-in CPU path: with accounting on,
-// a span's record carries the thread's CPU delta and the Chrome export
-// stamps cpu_ms; with accounting off (the default), neither appears and
-// fake-clock traces stay byte-deterministic.
+// TestSpanCPUAccounting covers the CPU path with accounting on: a busy
+// span nobody stamps (an unpinned region such as the sweep span) records
+// no CPU, because spans never read thread CPU themselves, while a span
+// stamped with SetCPUNanos carries the value into the Chrome export as
+// cpu_ms.
 func TestSpanCPUAccounting(t *testing.T) {
 	tr := NewTracer()
 	InstallTracer(tr)
@@ -271,39 +272,35 @@ func TestSpanCPUAccounting(t *testing.T) {
 	SetCPUAccounting(true)
 	defer SetCPUAccounting(false)
 
-	_, sp := StartSpan(context.Background(), "busy")
+	_, busy := StartSpan(context.Background(), "busy")
 	_ = burnCPU(30 * time.Millisecond)
-	sp.End()
+	busy.End()
+	_, task := StartSpan(context.Background(), "task")
+	task.SetCPUNanos(2_500_000)
+	task.End()
 
 	spans := tr.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("got %d spans, want 1", len(spans))
+	if len(spans) != 2 {
+		t.Fatalf("got %d spans, want 2", len(spans))
 	}
-	if spans[0].CPUNanos <= 0 {
-		t.Fatalf("no CPU recorded on a busy span: %d", spans[0].CPUNanos)
+	if spans[0].CPUNanos != 0 {
+		t.Errorf("unstamped busy span recorded CPU: %d", spans[0].CPUNanos)
+	}
+	if spans[1].CPUNanos != 2_500_000 {
+		t.Errorf("stamped span CPU = %d, want 2500000", spans[1].CPUNanos)
 	}
 	var b bytes.Buffer
 	if err := WriteChromeTrace(&b, spans); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(b.Bytes(), []byte(`"cpu_ms"`)) {
-		t.Errorf("chrome export missing cpu_ms arg:\n%s", b.Bytes())
-	}
-
-	// Accounting off: the golden fake-clock trace must carry no cpu_ms.
-	SetCPUAccounting(false)
-	tr2 := NewTracerClock(fakeClock())
-	buildSyntheticSweep(tr2)
-	for _, s := range tr2.Spans() {
-		if s.CPUNanos != 0 {
-			t.Errorf("span %q recorded CPU with accounting off: %d", s.Name, s.CPUNanos)
-		}
+	if n := bytes.Count(b.Bytes(), []byte(`"cpu_ms"`)); n != 1 {
+		t.Errorf("chrome export has %d cpu_ms args, want 1 (the stamped span):\n%s", n, b.Bytes())
 	}
 }
 
-// TestSetCPUNanosOverride checks the worker-side override: an explicit
-// measured value replaces the span's own delta, zero and negative values
-// are ignored, and a nil span does not panic.
+// TestSetCPUNanosOverride checks the worker-side stamp: an explicit
+// measured value is recorded, zero and negative values are ignored, and a
+// nil span does not panic.
 func TestSetCPUNanosOverride(t *testing.T) {
 	tr := NewTracerClock(fakeClock())
 	InstallTracer(tr)

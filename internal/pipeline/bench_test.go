@@ -111,26 +111,6 @@ func BenchmarkSimulatorProfiling(b *testing.B) {
 	}
 }
 
-// BenchmarkRunSampledRepresentative measures the representative-interval
-// estimator end to end — feature extraction, k-means, warm replay and the
-// detailed windows — against BenchmarkSimulatorSingleton's full run on the
-// same workload; the ratio is the sweep-service speedup this mode buys.
-func BenchmarkRunSampledRepresentative(b *testing.B) {
-	b.ReportAllocs()
-	wb, err := benchSetup(b, "media.dct8")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := Baseline()
-	spec := SampleSpec{Interval: 1000, Window: 1000, Mode: SampleRepresentative}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := RunSampledReport(wb.p, wb.tr, cfg, MGConfig{}, spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSimulatorSlackDynamic measures the run-time monitor overhead.
 func BenchmarkSimulatorSlackDynamic(b *testing.B) {
 	b.ReportAllocs()

@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the pipeline's metrics surface: process-wide simulation
-// counters (runs, cycles, uops, instructions, sample windows) registered
+// counters (runs, cycles, uops, instructions) registered
 // on the metrics registry by InstallMetrics. The counters are bumped once
 // per completed run — never inside the cycle loop — so the hot path cost
 // with metrics off is a single atomic pointer load per run.
@@ -15,11 +15,10 @@ import (
 // simSeries holds the registered counters; nil (the default) means
 // metrics are off.
 type simSeries struct {
-	runs    *metrics.Counter
-	cycles  *metrics.Counter
-	uops    *metrics.Counter
-	instrs  *metrics.Counter
-	windows *metrics.Counter
+	runs   *metrics.Counter
+	cycles *metrics.Counter
+	uops   *metrics.Counter
+	instrs *metrics.Counter
 }
 
 var simMetrics atomic.Pointer[simSeries]
@@ -29,11 +28,10 @@ var simMetrics atomic.Pointer[simSeries]
 // returns the existing series).
 func InstallMetrics(reg *metrics.Registry) {
 	simMetrics.Store(&simSeries{
-		runs:    reg.Counter("mg_sim_runs_total", "completed timing-simulator runs"),
-		cycles:  reg.Counter("mg_sim_cycles_total", "simulated cycles summed over all completed runs"),
-		uops:    reg.Counter("mg_sim_uops_total", "committed micro-ops summed over all completed runs"),
-		instrs:  reg.Counter("mg_sim_instrs_total", "committed instructions summed over all completed runs"),
-		windows: reg.Counter("mg_sim_sample_windows_total", "sample windows simulated by RunSampled"),
+		runs:   reg.Counter("mg_sim_runs_total", "completed timing-simulator runs"),
+		cycles: reg.Counter("mg_sim_cycles_total", "simulated cycles summed over all completed runs"),
+		uops:   reg.Counter("mg_sim_uops_total", "committed micro-ops summed over all completed runs"),
+		instrs: reg.Counter("mg_sim_instrs_total", "committed instructions summed over all completed runs"),
 	})
 }
 
@@ -48,11 +46,4 @@ func noteRun(st *Stats) {
 	s.cycles.Add(st.Cycles)
 	s.uops.Add(st.Uops)
 	s.instrs.Add(st.Instrs)
-}
-
-// noteSampleWindow counts one simulated sample window.
-func noteSampleWindow() {
-	if s := simMetrics.Load(); s != nil {
-		s.windows.Inc()
-	}
 }

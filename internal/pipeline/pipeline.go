@@ -236,51 +236,19 @@ func RunObserved(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *s
 // process-wide default. The differential tests use it to run both
 // schedulers side by side; results are byte-identical either way.
 func RunSched(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slack.Accumulator, watch *obs.Observer, sched SchedKind) (*Stats, error) {
-	return runSchedWarm(p, tr, cfg, mg, prof, watch, sched, nil, 0, nil)
-}
-
-// prerollSnap is a mid-run statistics snapshot, taken the cycle the
-// committed-instruction count crosses a pre-roll threshold. Subtracting it
-// from the final stats measures the tail of the run as seen from a pipeline
-// already in motion — without the fill transient a fresh machine pays.
-type prerollSnap struct {
-	cycles, instrs, uops                   int64
-	handles, embedded, mispredicts, replay int64
-}
-
-// runSchedWarm is RunSched with an optional functional warm-up segment:
-// before the first simulated cycle, warm is replayed into the caches,
-// predictors and store sets (no timing effects, stats cleared afterwards).
-// Representative sampling uses it to start measured windows hot. If
-// preroll > 0 and snap is non-nil, *snap receives the statistics snapshot
-// taken when the committed-instruction count first reaches preroll.
-func runSchedWarm(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slack.Accumulator, watch *obs.Observer, sched SchedKind, warm []emu.Rec, preroll int64, snap *prerollSnap) (*Stats, error) {
 	if len(tr) == 0 {
 		return nil, fmt.Errorf("pipeline: empty trace")
 	}
-	m, maxCycles, err := setupMachine(p, cfg, mg, prof, watch, sched)
-	if err != nil {
-		return nil, err
-	}
-	m.tr = tr
-	m.warmMachine(warm)
-	return m.mainLoop(maxCycles, preroll, snap)
-}
-
-// setupMachine readies a pooled machine for one run: config, program, layout,
-// observers. The caller assigns m.tr (and optionally feeds a functional
-// warm-up) before invoking mainLoop — the streaming path materializes the
-// trace slice only after the machine exists, so setup cannot take it.
-func setupMachine(p *prog.Program, cfg Config, mg MGConfig, prof *slack.Accumulator, watch *obs.Observer, sched SchedKind) (*machine, int64, error) {
 	if watch != nil && !watch.Active() {
 		watch = nil
 	}
 	if cfg.PhysRegs-isa.NumRegs <= 0 {
-		return nil, 0, fmt.Errorf("pipeline: config %q has no rename registers", cfg.Name)
+		return nil, fmt.Errorf("pipeline: config %q has no rename registers", cfg.Name)
 	}
 	m := getMachine(cfg)
 	m.mgc = mg
 	m.p = p
+	m.tr = tr
 	m.watch = watch
 	m.flight = obs.Flight()
 	if m.flight != nil {
@@ -314,12 +282,12 @@ func setupMachine(p *prog.Program, cfg Config, mg MGConfig, prof *slack.Accumula
 	if maxCycles == 0 {
 		maxCycles = DefaultMaxCycles
 	}
-	return m, maxCycles, nil
+	return m.mainLoop(maxCycles)
 }
 
 // mainLoop runs the simulation to completion and returns the detached stats,
-// pooling the machine on success. See runSchedWarm for preroll/snap.
-func (m *machine) mainLoop(maxCycles int64, preroll int64, snap *prerollSnap) (*Stats, error) {
+// pooling the machine on success.
+func (m *machine) mainLoop(maxCycles int64) (*Stats, error) {
 	p := m.p
 	event := m.sched != SchedScan
 	for {
@@ -331,18 +299,6 @@ func (m *machine) mainLoop(maxCycles int64, preroll int64, snap *prerollSnap) (*
 		}
 		m.checkViolations()
 		m.commit()
-		if preroll > 0 && m.stats.Instrs >= preroll {
-			*snap = prerollSnap{
-				cycles:      m.cycle,
-				instrs:      m.stats.Instrs,
-				uops:        m.stats.Uops,
-				handles:     m.stats.Handles,
-				embedded:    m.stats.EmbeddedInstrs,
-				mispredicts: m.bp.DirMisses + m.stats.RASMispredicts,
-				replay:      m.stats.Replays,
-			}
-			preroll = 0
-		}
 		m.resolvePendingBranch()
 		if event {
 			m.issueEvent()

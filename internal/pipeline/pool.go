@@ -13,7 +13,7 @@ import (
 // rings, slot arrays, uop slabs — depends only on its Config, and a full
 // simulation run leaves all of it allocated at steady-state size. Pooling
 // finished machines per Config and resetting them in place makes repeated
-// runs (sweeps, sampled windows, benchmarks) allocation-free after the
+// runs (sweeps, benchmarks) allocation-free after the
 // first: RunSched draws from the pool, simulates, copies the stats out and
 // returns the machine.
 //

@@ -174,60 +174,6 @@ func TestSchedulerDifferentialProfiled(t *testing.T) {
 	}
 }
 
-// TestSampledDifferential runs the periodic-sampling estimator under both
-// schedulers and requires identical estimates; it also pins the estimate
-// across worker counts, which exercises concurrent machine pooling (each
-// window draws a machine from the pool). SetDefaultScheduler is
-// process-global, so this test must not run in parallel.
-func TestSampledDifferential(t *testing.T) {
-	w := workload.Find("comm.crc32")
-	if w == nil {
-		t.Fatal("workload comm.crc32 not found")
-	}
-	p, _, _, err := w.Build("small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := emu.Run(p, emu.Options{CollectTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	freq := make([]int64, p.NumInstrs())
-	for _, r := range res.Trace {
-		freq[r.Index]++
-	}
-	sel := minigraph.Select(p, minigraph.Enumerate(p, minigraph.DefaultLimits()),
-		freq, minigraph.DefaultSelectConfig())
-	// Size the spec so the trace holds several windows.
-	spec := SampleSpec{Interval: len(res.Trace) / 6, Window: len(res.Trace) / 20,
-		Warmup: len(res.Trace) / 40}
-	if spec.Window == 0 {
-		t.Fatalf("trace too short for sampling: %d records", len(res.Trace))
-	}
-
-	run := func(k SchedKind, workers int) (*Stats, float64) {
-		SetDefaultScheduler(k)
-		defer SetDefaultScheduler(SchedEvent)
-		spec := spec
-		spec.Workers = workers
-		st, rate, err := RunSampled(p, res.Trace, Reduced(), MGConfig{Selection: sel}, spec)
-		if err != nil {
-			t.Fatalf("%v scheduler, %d workers: %v", k, workers, err)
-		}
-		return st, rate
-	}
-	stE, rateE := run(SchedEvent, 1)
-	stS, rateS := run(SchedScan, 1)
-	if *stE != *stS || rateE != rateS {
-		t.Errorf("sampled estimates diverge:\nevent %+v (rate %v)\nscan  %+v (rate %v)",
-			stE, rateE, stS, rateS)
-	}
-	stP, rateP := run(SchedEvent, 4)
-	if *stP != *stE || rateP != rateE {
-		t.Errorf("sampled estimate changes with worker count:\nserial   %+v\nparallel %+v", stE, stP)
-	}
-}
-
 // TestSchedulerDefaultToggle exercises the CLI-facing switch.
 func TestSchedulerDefaultToggle(t *testing.T) {
 	if got := DefaultScheduler(); got != SchedEvent {

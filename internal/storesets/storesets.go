@@ -66,12 +66,6 @@ func (p *Predictor) Reset() {
 	p.Predictions = 0
 }
 
-// ClearStats zeroes the counters, keeping the trained SSIT/LFST state.
-func (p *Predictor) ClearStats() {
-	p.Violations = 0
-	p.Predictions = 0
-}
-
 func (p *Predictor) idx(pc uint32) int {
 	// Rename-time hot path: mask instead of modulo for the usual
 	// power-of-two table (the mask is also correct for a 1-entry table).
