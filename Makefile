@@ -171,15 +171,20 @@ benchjson:
 	echo "wrote $$out (baseline BENCH_PR$$n.json)"
 
 # profile: CPU and allocation pprof profiles of the mini-graph simulator
-# benchmark, written to the (gitignored) profiles/ directory. Inspect with
-# `go tool pprof profiles/minigraphs.cpu.pb.gz` (top, list <fn>, web).
+# benchmark and of the slack-profiling run, written to the (gitignored)
+# profiles/ directory. Inspect with `go tool pprof profiles/minigraphs.cpu.pb.gz`
+# (top, list <fn>, web).
 profile:
 	@mkdir -p profiles
 	$(GO) test -run NONE -bench BenchmarkSimulatorMiniGraphs -benchtime 100x -benchmem \
 		-cpuprofile profiles/minigraphs.cpu.pb.gz \
 		-memprofile profiles/minigraphs.mem.pb.gz \
 		-o profiles/pipeline.test ./internal/pipeline
-	@echo "wrote profiles/minigraphs.{cpu,mem}.pb.gz"
+	$(GO) test -run NONE -bench BenchmarkSimulatorProfiling -benchtime 100x -benchmem \
+		-cpuprofile profiles/profiling.cpu.pb.gz \
+		-memprofile profiles/profiling.mem.pb.gz \
+		-o profiles/pipeline.test ./internal/pipeline
+	@echo "wrote profiles/{minigraphs,profiling}.{cpu,mem}.pb.gz"
 
 report:
 	$(GO) run ./cmd/mgreport -exp all

@@ -91,12 +91,13 @@ type uop struct {
 	memLat int64 // load cycles beyond the L1-hit path
 	serExt bool  // issued data-bound on a serializing external input
 
-	// Profiling.
-	bbHead      *uop
-	minConsIss  int64
+	// Profiling: isHead marks a basic-block head (the Issue/Ready base of
+	// every uop up to the next head), fwdConsExec is the earliest memory
+	// cycle of a load forwarding from this store, and nCons counts executed
+	// consumer sources up to maxTrackedConsumers.
+	isHead      bool
+	nCons       uint8
 	fwdConsExec int64
-	consumers   []*uop // register-value consumers (profiling runs only)
-	gslack      int64  // computed global slack (drain-time reverse pass)
 }
 
 // fetchItem is a prepared fetch unit awaiting its fetch cycle.
@@ -156,9 +157,15 @@ type machine struct {
 	freeRegs       int
 	lqUsed, sqUsed int
 	lastWriter     [isa.NumRegs]*uop
-	curBBHead      *uop
-	profFIFO       []*uop
 	layout         *minigraph.Layout
+
+	// Slack profiling (prof != nil): one record per trace record (see
+	// profRec), kept across pooling; bbOpen is false until the first rename
+	// and after a flush, making the next renamed uop a block head; headIssue
+	// is the issue cycle of the last committed head.
+	profRecs  []profRec
+	bbOpen    bool
+	headIssue int64
 
 	// Last computed layout, kept across pooling: layouts are immutable and
 	// depend only on (program, selection), and a pooled machine almost
@@ -169,8 +176,7 @@ type machine struct {
 	layoutC   *minigraph.Layout
 
 	// Uop recycling: committed uops queue in retired until provably
-	// unreferenced, then return to freeUops for reuse by makeUop. Disabled
-	// while profiling (the slack accumulator keeps every uop until drain).
+	// unreferenced, then return to freeUops for reuse by makeUop.
 	recycle       bool
 	freeUops      []*uop
 	retired       ring[*uop]
@@ -211,15 +217,16 @@ func (m *machine) iqLen() int {
 	return m.iqCount
 }
 
-// noRecycle disables uop recycling even in non-profiling runs; tests flip
-// it to verify recycling changes no architectural outcome.
+// noRecycle disables uop recycling; tests flip it to verify recycling
+// changes no architectural outcome and no slack profile.
 var noRecycle bool
 
 // Run replays the committed trace of program p on the configured machine
 // and returns timing statistics. mg configures mini-graph processing (zero
 // MGConfig = singleton execution). When prof is non-nil the run records a
-// slack profile into it (profiling runs should be singleton runs, matching
-// the paper's use of non-mini-graph profiles).
+// slack profile into it; profiles are per static singleton instruction
+// (the paper's non-mini-graph profiles), so profiling with mini-graphs
+// enabled is an error.
 func Run(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slack.Accumulator) (*Stats, error) {
 	return RunSched(p, tr, cfg, mg, prof, nil, DefaultScheduler())
 }
@@ -245,6 +252,9 @@ func RunSched(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slac
 	if cfg.PhysRegs-isa.NumRegs <= 0 {
 		return nil, fmt.Errorf("pipeline: config %q has no rename registers", cfg.Name)
 	}
+	if prof != nil && mg.Enabled() {
+		return nil, fmt.Errorf("pipeline: slack profiling requires a singleton run (mini-graphs enabled)")
+	}
 	m := getMachine(cfg)
 	m.mgc = mg
 	m.p = p
@@ -257,7 +267,13 @@ func RunSched(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slac
 	m.emitUops = m.flight != nil || (watch != nil && watch.Trace != nil)
 	m.sched = sched
 	m.prof = prof
-	m.recycle = prof == nil && !noRecycle
+	m.recycle = !noRecycle
+	if prof != nil {
+		if cap(m.profRecs) < len(tr) {
+			m.profRecs = make([]profRec, len(tr))
+		}
+		m.profRecs = m.profRecs[:len(tr)]
+	}
 	if mg.Enabled() {
 		m.layout = mg.Layout
 		if m.layout == nil {
@@ -401,11 +417,9 @@ func (m *machine) commit() {
 			m.observeUop(u, m.cycle, false)
 		}
 		if m.prof != nil {
-			// Retained until drain: the global-slack reverse pass needs the
-			// whole committed stream, and late consumers keep updating
-			// local slack until then.
-			m.profFIFO = append(m.profFIFO, u)
-		} else if m.recycle {
+			m.foldProfile(u)
+		}
+		if m.recycle {
 			u.refBarrier = m.seq
 			m.retired.pushBack(u)
 		}
@@ -633,8 +647,9 @@ func (m *machine) execute(u *uop) {
 	h.issue[s] = m.cycle
 	lastReady, lastIdx := m.recordSrcReady(u)
 
-	// Consumers update producer local slack (profiling) and feed the
-	// Slack-Dynamic consumer-delay detector (rule #4's hardware analogue).
+	// Consumers record slack edges to their producers (profiling) and feed
+	// the Slack-Dynamic consumer-delay detector (rule #4's hardware
+	// analogue).
 	src := h.srcs[s]
 	for i := 0; i < u.nSrc; i++ {
 		p := src[i]
@@ -642,13 +657,7 @@ func (m *machine) execute(u *uop) {
 			continue
 		}
 		if m.prof != nil {
-			pu := h.uops[p]
-			if m.cycle < pu.minConsIss {
-				pu.minConsIss = m.cycle
-			}
-			if len(pu.consumers) < maxTrackedConsumers {
-				pu.consumers = append(pu.consumers, u)
-			}
+			m.noteConsumer(u, h.uops[p])
 		}
 		if h.meta[p]&metaHandle != 0 {
 			m.noteConsumerOfHandle(m.cycle, h.uops[p])
@@ -1021,7 +1030,7 @@ func (m *machine) flushFrom(v *uop) {
 	if m.pendingBranch != nil && h.squashed[m.pendingBranch.slot] {
 		m.pendingBranch = nil
 	}
-	m.curBBHead = nil
+	m.bbOpen = false
 
 	// Redirect fetch: refetch from the load's first trace record.
 	m.fetchIdx = v.traceIdx
@@ -1039,8 +1048,7 @@ func (m *machine) flushFrom(v *uop) {
 	// no surviving uop can hold a pointer to one (srcProd, waitStore and
 	// forwardedFrom all point at strictly older uops), and every structure
 	// that indexed them (IQ, violations, rename table, pendingBranch) was
-	// purged above. Profiling runs keep them: consumer lists reference
-	// squashed uops until drain.
+	// purged above.
 	if m.recycle {
 		m.freeUops = append(m.freeUops, m.squashScratch...)
 		m.squashScratch = m.squashScratch[:0]
@@ -1099,11 +1107,9 @@ func (m *machine) rename() {
 		}
 
 		// Basic-block head tracking for slack profiling.
-		if m.prof != nil && u.kind != kindOverheadJump {
-			if m.p.Blocks[m.p.BlockOf[u.static]].Start == u.static || m.curBBHead == nil {
-				m.curBBHead = u
-			}
-			u.bbHead = m.curBBHead
+		if m.prof != nil && (!m.bbOpen || m.p.Blocks[m.p.BlockOf[u.static]].Start == u.static) {
+			u.isHead = true
+			m.bbOpen = true
 		}
 
 		m.window.pushBack(u)
@@ -1316,7 +1322,6 @@ func (m *machine) makeUop(it fetchItem) *uop {
 	u.fetchCycle = m.cycle
 	u.renameReady = m.cycle + int64(m.cfg.FetchToRename)
 	u.renameCycle = -1
-	u.minConsIss = never
 	u.fwdConsExec = never
 	m.seq++
 
@@ -1389,6 +1394,14 @@ func (m *machine) makeUop(it fetchItem) *uop {
 		m.predictBranch(u, it.static, rec)
 	}
 	h.meta[s] = packMeta(u)
+	if m.prof != nil {
+		// A refetch after a flush overwrites the squashed instance's record.
+		r := profRec{regSlack: slack.BigSlack, gslack: slack.BigSlack, writesReg: u.writesReg}
+		if u.mispred {
+			r.gslack = 0 // delaying a mispredicted branch delays everything
+		}
+		m.profRecs[it.traceIdx] = r
+	}
 	return u
 }
 
@@ -1469,67 +1482,91 @@ func (m *machine) predictOverheadJump(u *uop, it fetchItem) {
 
 // --- slack profiling ---
 
-// maxTrackedConsumers caps per-value consumer edges recorded for the
+// maxTrackedConsumers caps the consumer edges per value that feed the
 // global-slack pass (capping can only overestimate global slack).
 const maxTrackedConsumers = 16
 
+// profRec is the part of one committed uop's profile that is not final at
+// its commit. Profiling runs are singleton runs, so uops commit in trace
+// order and a uop's record index is its trace index: consumers reach their
+// producer's record through the producer's traceIdx, before or after the
+// producer commits. All slacks are capped at slack.BigSlack, which fits a
+// byte: global slack never exceeds its BigSlack start, so capping an edge
+// delay there changes no minimum.
+type profRec struct {
+	prod      [3]int32 // producer record of each recorded consumer edge
+	delay     [3]uint8 // edge delay: issue − producer readyOut, in [0, BigSlack]
+	nEdges    uint8
+	regSlack  uint8 // local register slack: min edge delay over every executed consumer
+	gslack    uint8 // global register slack (final after drainProfile's reverse pass)
+	writesReg bool
+}
+
+// noteConsumer records, as u executes, one source edge to producer pu: it
+// lowers the producer's local register slack and, for the first
+// maxTrackedConsumers consumer sources pu sees (squashed ones included),
+// adds the edge to u's record for the global-slack pass. A squashed u
+// never commits; its refetch resets the record, dropping the edge.
+func (m *machine) noteConsumer(u, pu *uop) {
+	d := m.cycle - m.hot.readyOut[pu.slot]
+	d = max(0, min(d, slack.BigSlack))
+	pr := &m.profRecs[pu.traceIdx]
+	pr.regSlack = min(pr.regSlack, uint8(d))
+	if pu.nCons >= maxTrackedConsumers {
+		return
+	}
+	pu.nCons++
+	r := &m.profRecs[u.traceIdx]
+	r.prod[r.nEdges] = int32(pu.traceIdx)
+	r.delay[r.nEdges] = uint8(d)
+	r.nEdges++
+}
+
+// drainProfile finishes the register slacks. Global slack of a value is
+// the delay it tolerates without lengthening the whole execution,
+// propagated through the dataflow graph: gs[p] = min over its edges of
+// delay + gs[consumer]. Consumers are younger and commit later, so one
+// reverse sweep over the records finalizes each consumer's global slack
+// before pushing it to its producers.
 func (m *machine) drainProfile() {
 	if m.prof == nil {
 		return
 	}
-	// Reverse pass over the committed stream: global slack of a value is
-	// the delay it tolerates without lengthening the whole execution,
-	// propagated through the dataflow graph. Consumers are younger and
-	// commit later, so a single reverse sweep sees every consumer's global
-	// slack before its producers'.
-	h := &m.hot
-	for i := len(m.profFIFO) - 1; i >= 0; i-- {
-		u := m.profFIFO[i]
-		gs := int64(slack.BigSlack)
-		if u.hasBranch && u.mispred {
-			gs = 0 // delaying a mispredicted branch delays everything
+	recs := m.profRecs
+	for i := len(recs) - 1; i >= 0; i-- {
+		r := &recs[i]
+		for k := uint8(0); k < r.nEdges; k++ {
+			p := &recs[r.prod[k]]
+			p.gslack = min(p.gslack, r.delay[k]+r.gslack)
 		}
-		for _, c := range u.consumers {
-			if h.squashed[c.slot] || h.issue[c.slot] < 0 {
-				continue
-			}
-			edge := h.issue[c.slot] - h.readyOut[u.slot]
-			if edge < 0 {
-				edge = 0
-			}
-			if v := edge + c.gslack; v < gs {
-				gs = v
-			}
+		if r.writesReg {
+			m.prof.AddRegSlack(int(m.tr[i].Index), float64(r.regSlack), float64(r.gslack))
 		}
-		u.gslack = gs
 	}
-	for _, u := range m.profFIFO {
-		m.foldProfile(u)
-	}
-	m.profFIFO = nil
 }
 
 // foldProfile converts a committed uop's timing into a slack Observation.
-// Profiling runs are singleton runs, so every uop maps to one static
-// instruction.
+// Everything but the register slacks is final at commit (stores forward
+// only while in flight); drainProfile adds those.
 func (m *machine) foldProfile(u *uop) {
-	if u.kind != kindSingleton || u.bbHead == nil {
-		return
-	}
 	h := &m.hot
 	s := u.slot
-	base := float64(h.issue[u.bbHead.slot])
+	if u.isHead {
+		m.headIssue = h.issue[s]
+	}
+	base := float64(m.headIssue)
 	in := m.p.Code[u.static]
 
 	obs := slack.Observation{
-		Issue:       float64(h.issue[s]) - base,
-		Ready:       float64(h.readyOut[s]) - base,
-		ExecLat:     float64(h.execDone[s] - h.issue[s] - int64(m.cfg.IssueToExec)),
-		Src1Ready:   slack.NaN(),
-		Src2Ready:   slack.NaN(),
-		RegSlack:    slack.NaN(),
-		StoreSlack:  slack.NaN(),
-		BranchSlack: slack.NaN(),
+		Issue:          float64(h.issue[s]) - base,
+		Ready:          float64(h.readyOut[s]) - base,
+		ExecLat:        float64(h.execDone[s] - h.issue[s] - int64(m.cfg.IssueToExec)),
+		Src1Ready:      slack.NaN(),
+		Src2Ready:      slack.NaN(),
+		RegSlack:       slack.NaN(),
+		StoreSlack:     slack.NaN(),
+		BranchSlack:    slack.NaN(),
+		GlobalRegSlack: slack.NaN(),
 	}
 	// Map the uop's dynamic sources back to the instruction's operand slots.
 	slot := 0
@@ -1539,19 +1576,6 @@ func (m *machine) foldProfile(u *uop) {
 	}
 	if in.Rs2 != isa.NoReg && in.Rs2 != isa.ZeroReg && in.Rs2.Valid() {
 		obs.Src2Ready = float64(u.srcReadyC[slot]) - base
-	}
-	obs.GlobalRegSlack = slack.NaN()
-	if u.writesReg {
-		obs.GlobalRegSlack = math.Min(float64(u.gslack), slack.BigSlack)
-		if u.minConsIss == never {
-			obs.RegSlack = slack.BigSlack
-		} else {
-			sl := float64(u.minConsIss - h.readyOut[s])
-			if sl < 0 {
-				sl = 0
-			}
-			obs.RegSlack = math.Min(sl, slack.BigSlack)
-		}
 	}
 	if u.isStore {
 		if u.fwdConsExec == never {

@@ -382,6 +382,16 @@ func TestProfileSlackILP(t *testing.T) {
 	}
 }
 
+// A slack profile is defined per static singleton instruction, so a
+// profiling run with mini-graphs enabled is rejected before simulating.
+func TestProfilingWithMiniGraphsRejected(t *testing.T) {
+	p := ilpLoop(t, 20)
+	acc := slack.NewAccumulator(p.Name, p.NumInstrs())
+	if _, err := Run(p, trace(t, p), Baseline(), MGConfig{Selection: selectAll(t, p)}, acc); err == nil {
+		t.Error("profiling with mini-graphs enabled should error")
+	}
+}
+
 func TestEmptyTraceError(t *testing.T) {
 	p := ilpLoop(t, 10)
 	if _, err := Run(p, nil, Baseline(), MGConfig{}, nil); err == nil {

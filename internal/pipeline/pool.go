@@ -26,9 +26,9 @@ import (
 var machinePools sync.Map // Config -> *sync.Pool of *machine
 
 // poolableSlots bounds the slot-array size a machine may retain in the
-// pool. Recycling keeps normal runs well under the initial capacity;
-// profiling runs (no recycling) grow a slab per ~256 uops and would pin
-// megabytes, so they are simulated and dropped.
+// pool. Recycling keeps every run, profiling included, well under the
+// initial capacity; a run that outgrew it (e.g. with recycling disabled by
+// a test) would pin megabytes, so it is simulated and dropped.
 const poolableSlots = 4096
 
 func getMachine(cfg Config) *machine {
@@ -125,8 +125,8 @@ func (m *machine) reset() {
 	m.freeRegs = m.cfg.PhysRegs - isa.NumRegs
 	m.lqUsed, m.sqUsed = 0, 0
 	m.lastWriter = [isa.NumRegs]*uop{}
-	m.curBBHead = nil
-	m.profFIFO = nil
+	m.bbOpen = false
+	m.headIssue = 0
 	m.retired.clear()
 	m.squashScratch = m.squashScratch[:0]
 

@@ -1,33 +1,54 @@
 package pipeline
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"repro/internal/emu"
 	"repro/internal/minigraph"
 	"repro/internal/prog"
+	"repro/internal/slack"
 )
 
 // runBothWays runs the same simulation with uop recycling enabled and
 // disabled and requires bit-identical statistics. Recycling is purely an
 // allocator optimization; any architectural divergence means a recycled
-// uop was reused while still referenced.
+// uop was reused while still referenced. Singleton scenarios also run
+// profiled both ways and must produce byte-identical slack profiles: the
+// profiler reaches producers through slot indices, so a recycled slot
+// read through a stale index would show up here.
 func runBothWays(t *testing.T, label string, p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig) {
 	t.Helper()
-	withRecycle, err := Run(p, tr, cfg, mg, nil)
-	if err != nil {
-		t.Fatalf("%s (recycle on): %v", label, err)
+	run := func(off bool, acc *slack.Accumulator) *Stats {
+		noRecycle = off
+		defer func() { noRecycle = false }()
+		st, err := Run(p, tr, cfg, mg, acc)
+		if err != nil {
+			t.Fatalf("%s (recycle off=%v, profiled=%v): %v", label, off, acc != nil, err)
+		}
+		return st
 	}
-	noRecycle = true
-	defer func() { noRecycle = false }()
-	without, err := Run(p, tr, cfg, mg, nil)
-	noRecycle = false
-	if err != nil {
-		t.Fatalf("%s (recycle off): %v", label, err)
-	}
+	withRecycle, without := run(false, nil), run(true, nil)
 	if !reflect.DeepEqual(*withRecycle, *without) {
 		t.Errorf("%s: stats diverge with recycling:\n on: %+v\noff: %+v", label, *withRecycle, *without)
+	}
+	if mg.Enabled() {
+		return
+	}
+	var saved [2]bytes.Buffer
+	for i, off := range []bool{false, true} {
+		acc := slack.NewAccumulator(p.Name, p.NumInstrs())
+		if st := run(off, acc); !reflect.DeepEqual(*st, *withRecycle) {
+			t.Errorf("%s: profiling (recycle off=%v) changes stats:\n plain: %+v\nprofiled: %+v", label, off, *withRecycle, *st)
+		}
+		if err := acc.Profile().Save(&saved[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(saved[0].Bytes(), saved[1].Bytes()) {
+		t.Errorf("%s: slack profiles diverge with recycling (first diff at byte %d)",
+			label, firstDiff(saved[0].Bytes(), saved[1].Bytes()))
 	}
 }
 

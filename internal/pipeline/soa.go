@@ -62,9 +62,10 @@ func packMeta(u *uop) uint8 {
 	return b | uint8(u.nSrc)<<metaNSrcShift
 }
 
-// newHotState sizes every array for capHint slots up front; steady-state
-// runs never outgrow it (live uops are bounded by the window, fetch queue
-// and retired queue), so the hot loop performs no slice growth.
+// newHotState sizes every array for capHint slots up front. Recycling
+// (on in every production run, profiling included) bounds live uops by
+// the window, fetch queue and retired queue, so a run grows the arrays at
+// most a slab past capHint and the steady-state hot loop never grows them.
 func newHotState(capHint int) hotState {
 	return hotState{
 		uops:      make([]*uop, 0, capHint),
@@ -87,7 +88,8 @@ func newHotState(capHint int) hotState {
 }
 
 // grow extends every array by n zeroed slots (chain links start empty).
-// Only non-recycling runs (profiling) grow past the initial capacity.
+// newUop calls it to carve a slab whenever the free list runs dry: once or
+// twice per machine with recycling on, once per slab of uops without it.
 func (h *hotState) grow(n int) {
 	base := len(h.uops)
 	h.uops = append(h.uops, make([]*uop, n)...)

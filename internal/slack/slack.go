@@ -232,6 +232,19 @@ func (a *Accumulator) Add(i int, obs Observation) {
 	}
 }
 
+// AddRegSlack folds the local and global register-output slack of one
+// dynamic instance of static instruction i whose Observation carried them
+// as absent (NaN): the profiling pipeline adds the rest of an instance at
+// its commit and these once a reverse pass has finalized them. Every
+// folded value is a whole cycle count, so the sums are exact and the
+// split changes no average.
+func (a *Accumulator) AddRegSlack(i int, local, global float64) {
+	a.sums.regSlack[i] += local
+	a.sums.regN[i]++
+	a.sums.globalSlack[i] += global
+	a.sums.globalN[i]++
+}
+
 // Profile finalizes the averages.
 func (a *Accumulator) Profile() *Profile {
 	n := len(a.count)
