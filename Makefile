@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: ci vet fmt build test race flake obs-smoke critpath-smoke sched-smoke sched-soa metrics-smoke index-smoke ledger-smoke selfprof-smoke bench benchjson profile report
+.PHONY: ci vet fmt build test race flake nocache-smoke obs-smoke critpath-smoke sched-smoke sched-soa metrics-smoke index-smoke ledger-smoke selfprof-smoke bench benchjson profile report
 
 ## ci: the pre-merge check — vet, gofmt, build, full tests, race-enabled
 ## cache and pipeline tests, the timing-sensitive tests repeated under one
-## and two Ps, the scheduler differential, the SoA/pooling determinism
-## smoke, and end-to-end observability, attribution, metrics/tracing,
-## run-ledger and self-profiling smoke tests. Documented in README.md; run
-## before every merge.
-ci: vet fmt build test race flake sched-smoke sched-soa obs-smoke critpath-smoke metrics-smoke index-smoke ledger-smoke selfprof-smoke
+## and two Ps, the cached-vs-nocache report comparison, the scheduler
+## differential, the SoA/pooling determinism smoke, and end-to-end
+## observability, attribution, metrics/tracing, run-ledger and
+## self-profiling smoke tests. Documented in README.md; run before every
+## merge.
+ci: vet fmt build test race flake nocache-smoke sched-smoke sched-soa obs-smoke critpath-smoke metrics-smoke index-smoke ledger-smoke selfprof-smoke
 
 vet:
 	$(GO) vet ./...
@@ -43,6 +44,26 @@ flake:
 		GOMAXPROCS=$$p $(GO) test -count=20 -run 'TestDashHealthStrip' ./internal/ledger || exit 1; \
 	done
 	@echo "flake ok"
+
+# -nocache end to end: the ablations (non-default enumeration limits and
+# MGT budgets) and Figure 9 top (cross-config profiling) on a short
+# workload list must print byte-identically with the caches on and with
+# every cache store disabled, once the timing line is dropped.
+nocache-smoke:
+	@dir=$$(mktemp -d); \
+	$(GO) build -o $$dir/mgreport ./cmd/mgreport || exit 1; \
+	for e in ablation fig9top; do \
+		for m in cached nocache; do \
+			flag=; [ $$m = nocache ] && flag=-nocache; \
+			$$dir/mgreport -exp $$e -input small -plots=false $$flag \
+				-only comm.crc32,comm.adler32,media.adpcm_enc >$$dir/$$e.$$m.raw 2>/dev/null || \
+				{ echo "nocache-smoke FAILED: mgreport -exp $$e $$flag"; exit 1; }; \
+			grep -v 'completed in' $$dir/$$e.$$m.raw >$$dir/$$e.$$m; \
+		done; \
+		cmp $$dir/$$e.cached $$dir/$$e.nocache || \
+			{ echo "nocache-smoke FAILED: -exp $$e output differs under -nocache"; exit 1; }; \
+	done; \
+	rm -rf $$dir && echo "nocache-smoke ok"
 
 # End-to-end observability: one observed run, then render + summarize the
 # files it produced; then the same run traced with the binary encoding,

@@ -95,7 +95,7 @@ func main() {
 		return
 	}
 
-	opts := core.Options{Input: *input, Workers: *workers, NoCache: *nocache,
+	opts := core.Options{Input: *input, Workers: *workers,
 		Obs: obs.FlagOptions(*pipetrace, *ptraceBin, *intervals, *tracedir)}
 	if *watchdog {
 		opts.Watchdog = &core.WatchdogConfig{SlowFactor: *wdSlow, Wedge: *wdWedge}
@@ -113,7 +113,6 @@ func main() {
 		core.SetTelemetry(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 	}
 	if *httpaddr != "" {
-		core.PublishExpvars()
 		core.EnableMetrics()
 		addr, err := obs.ServeDebug(*httpaddr)
 		if err != nil {
@@ -243,12 +242,10 @@ func run(w io.Writer, exp, limitWorkload string, plots bool, opts core.Options) 
 		if err := limitStudy(w, limitWorkload, opts); err != nil {
 			return err
 		}
-		fig9Opts := core.Options{Input: opts.Input, Progress: opts.Progress,
-			Workloads: opts.Workloads, Obs: opts.Obs}
-		if err := sweep(w, plots, fig9Opts, core.Fig9Top); err != nil {
+		if err := sweep(w, plots, opts, core.Fig9Top); err != nil {
 			return err
 		}
-		return sweep(w, plots, fig9Opts, core.Fig9Bottom)
+		return sweep(w, plots, opts, core.Fig9Bottom)
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)
 	}

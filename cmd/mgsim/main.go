@@ -124,7 +124,6 @@ func main() {
 		core.SetTelemetry(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 	}
 	if *httpaddr != "" {
-		core.PublishExpvars()
 		core.EnableMetrics()
 		addr, err := obs.ServeDebug(*httpaddr)
 		if err != nil {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/selector"
 	"repro/internal/simcache"
-	"repro/internal/slack"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -37,10 +36,6 @@ type Options struct {
 	Workers int
 	// Progress receives one line per completed workload when non-nil.
 	Progress io.Writer
-	// NoCache bypasses the process-wide simulation caches: every workload
-	// is re-prepared and every series re-simulated from scratch (the
-	// timing-accuracy debugging path).
-	NoCache bool
 	// Obs enables per-series-point observability outputs (pipetrace and
 	// interval files under Obs.Dir). Observed series runs bypass the
 	// result cache — the trace is a side effect a cache hit would swallow
@@ -96,12 +91,48 @@ func (o Options) workloads() []*workload.Workload {
 // selection policy (nil Sel = singleton execution, no mini-graphs).
 // ProfCfg overrides the profiling configuration (self-trained on the run
 // configuration when nil); ProfInput overrides the profiling input set.
+// Limits and Budget are the ablations' knobs — candidate-enumeration limits
+// and MGT template budget — where the zero value means the paper's default.
 type SeriesSpec struct {
 	Label     string
 	Cfg       pipeline.Config
 	Sel       *selector.Selector
 	ProfCfg   *pipeline.Config
 	ProfInput string
+	Limits    minigraph.Limits
+	Budget    int
+}
+
+// profCfgOf resolves a spec's profiling configuration (self-trained on the
+// run configuration unless overridden).
+func profCfgOf(sp SeriesSpec) pipeline.Config {
+	if sp.ProfCfg != nil {
+		return *sp.ProfCfg
+	}
+	return sp.Cfg
+}
+
+// profInput resolves the spec's profiling input on bench b (b's own input
+// unless overridden).
+func (sp SeriesSpec) profInput(b *Bench) string {
+	if sp.ProfInput == "" {
+		return b.Input
+	}
+	return sp.ProfInput
+}
+
+func (sp SeriesSpec) limits() minigraph.Limits {
+	if sp.Limits == (minigraph.Limits{}) {
+		return minigraph.DefaultLimits()
+	}
+	return sp.Limits
+}
+
+func (sp SeriesSpec) selectCfg() minigraph.SelectConfig {
+	if sp.Budget == 0 {
+		return minigraph.DefaultSelectConfig()
+	}
+	return minigraph.SelectConfig{TemplateBudget: sp.Budget}
 }
 
 // SweepResult carries one experiment's outcome: performance relative to the
@@ -116,13 +147,15 @@ type SweepResult struct {
 // (the paper's y=1 line); coverage as the fraction of dynamic instructions
 // embedded in mini-graphs.
 //
-// Scheduling is fine-grained: a bounded worker pool drains one task per
-// (workload, spec) pair, and all config-invariant work — workload
+// Scheduling is fine-grained: a bounded pool of pinned workers drains one
+// task per (workload, spec) pair, and all config-invariant work — workload
 // preparation, the fully-provisioned baseline, slack profiles, whole
 // repeated series — is deduplicated through the process-wide caches
 // (singleflight, so two tasks needing the same profile or baseline never
-// compute it twice). Series ordering in the report is deterministic
-// regardless of completion order.
+// compute it twice). With the caches disabled (SetCachingDisabled, the
+// -nocache path) the same loop re-prepares and re-simulates everything per
+// task. Series ordering in the report is deterministic regardless of
+// completion order.
 func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, error) {
 	started := time.Now()
 	// Each sweep is one trace process: tid 0 is the orchestrator, worker k
@@ -134,24 +167,11 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 	sweepSeries.sweeps.Inc()
 	if l := tlog(); l != nil {
 		l.Info("sweep.start", "title", title, "input", opts.input(),
-			"workers", opts.workers(), "nocache", opts.NoCache, "observed", opts.Obs.Active())
-	}
-	res := &SweepResult{
-		Perf:     &stats.Report{Title: title},
-		Coverage: &stats.Report{Title: title + " — coverage"},
-	}
-	perfSeries := make([]*stats.Series, len(specs))
-	covSeries := make([]*stats.Series, len(specs))
-	for i, sp := range specs {
-		perfSeries[i] = stats.NewSeries(sp.Label)
-		covSeries[i] = stats.NewSeries(sp.Label)
-		res.Perf.Add(perfSeries[i])
-		res.Coverage.Add(covSeries[i])
+			"workers", opts.workers(), "nocache", cachingDisabled(), "observed", opts.Obs.Active())
 	}
 
+	// Task ti is (workload ti/len(specs), spec ti%len(specs)).
 	ws := opts.workloads()
-	// Live-progress tracking for /debug/sweep: one entry per (workload,
-	// series) task, in the same order both execution paths schedule them.
 	refs := make([][2]string, 0, len(ws)*len(specs))
 	for _, w := range ws {
 		for _, sp := range specs {
@@ -165,37 +185,12 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 		defer wd.Stop()
 	}
 
-	if opts.NoCache {
-		meta, err := runSweepUncached(ctx, title, opts, ws, specs, perfSeries, covSeries, track)
-		if err != nil {
-			return nil, err
-		}
-		if err := writeSweepManifest(title, opts, started, meta); err != nil {
-			return nil, err
-		}
-		sweepFinishLog(title, started, len(ws)*len(specs))
-		return res, nil
-	}
-
-	type task struct{ wi, si int }
-	tasks := make([]task, 0, len(ws)*len(specs))
-	for wi := range ws {
-		for si := range specs {
-			tasks = append(tasks, task{wi, si})
-		}
-	}
-	vals := make([][2]float64, len(tasks)) // perf, coverage per task
-	errs := make([]error, len(tasks))
-	meta := make([]obs.ManifestTask, len(tasks))
+	recs := make([]taskRecord, len(refs))
 	pending := make([]int32, len(ws)) // specs left per workload (progress)
 	for i := range pending {
 		pending[i] = int32(len(specs))
 	}
-
-	workers := opts.workers()
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	workers := min(opts.workers(), len(refs))
 	var mu sync.Mutex // guards Progress writer
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -203,92 +198,125 @@ func RunSweep(title string, opts Options, specs []SeriesSpec) (*SweepResult, err
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			// Pin the worker to its OS thread so RUSAGE_THREAD deltas
+			// Pin the worker to its OS thread so thread-CPU deltas
 			// attribute each task's CPU time exactly (sweep tasks simulate
 			// single-goroutine, so nothing escapes the pinned thread).
-			runtime.LockOSThread()
-			defer runtime.UnlockOSThread()
+			pin := metrics.PinThread()
+			defer pin.Unpin()
 			wctx := metrics.WithTid(ctx, k+1) // worker k is trace tid k+1 (same pid as the sweep)
 			for ti := range next {
-				t := tasks[ti]
-				w := ws[t.wi]
-				sp := specs[t.si]
+				w, sp := ws[ti/len(specs)], specs[ti%len(specs)]
 				if l := tlog(); l != nil {
 					l.Info("task.start", "sweep", title, "workload", w.Name,
 						"series", sp.Label, "worker", k)
 				}
 				track.TaskRunning(ti, k)
-				t0 := time.Now()
-				um := metrics.MarkUsage()
-				tctx, span := metrics.StartSpan(wctx, "task",
-					metrics.L("workload", w.Name), metrics.L("series", sp.Label))
-				var r specResult
-				var err error
-				// Label the task's goroutine so CPU profiles grabbed from
-				// /debug/pprof attribute samples to (workload, spec).
-				pprof.Do(tctx, pprof.Labels("workload", w.Name, "spec", sp.Label), func(ctx context.Context) {
-					r, err = evalSpec(ctx, w, opts.input(), sp, opts.Obs)
-				})
-				use := um.Since()
-				if metrics.CPUAccountingOn() {
-					span.SetCPUNanos(use.CPUNanos)
-				}
-				span.SetAttr("cache", r.outcome)
-				span.End()
-				vals[ti] = [2]float64{r.perf, r.cov}
-				errs[ti] = err
-				meta[ti] = manifestTask(w.Name, sp.Label, k, t0, r.outcome, r.files, r.idx, err)
-				appendTaskRecord(title, w.Name, sp.Label, opts.input(), r.key, r.stats, r.outcome, t0, err, use)
-				track.TaskDone(ti, r.outcome, err)
-				noteTaskMetrics(meta[ti])
+				rec := runTask(wctx, pin, ti, k, w, sp, opts)
+				recs[ti] = rec
+				appendTaskRecord(title, opts.input(), &rec)
+				track.TaskDone(rec.index, rec.outcome, rec.err)
+				noteTaskMetrics(&rec)
 				if l := tlog(); l != nil {
-					l.Info("task.finish", "sweep", title, "workload", w.Name,
-						"series", sp.Label, "worker", k,
-						"wall_ms", meta[ti].WallMS, "cache", r.outcome)
+					l.Info("task.finish", "sweep", title, "workload", rec.workload,
+						"series", rec.series, "worker", rec.worker,
+						"wall_ms", rec.wallMS(), "cache", rec.outcome)
 				}
-				if atomic.AddInt32(&pending[t.wi], -1) == 0 && opts.Progress != nil {
+				if atomic.AddInt32(&pending[rec.index/len(specs)], -1) == 0 && opts.Progress != nil {
 					mu.Lock()
-					fmt.Fprintf(opts.Progress, "done %s\n", w.Name)
+					fmt.Fprintf(opts.Progress, "done %s\n", rec.workload)
 					mu.Unlock()
 				}
 			}
 		}(k)
 	}
-	for ti := range tasks {
+	for ti := range refs {
 		next <- ti
 	}
 	close(next)
 	wg.Wait()
 
-	for ti, t := range tasks {
-		if err := errs[ti]; err != nil {
-			return nil, fmt.Errorf("%s: %w", ws[t.wi].Name, err)
+	res := &SweepResult{
+		Perf:     &stats.Report{Title: title},
+		Coverage: &stats.Report{Title: title + " — coverage"},
+	}
+	for _, sp := range specs {
+		res.Perf.Add(stats.NewSeries(sp.Label))
+		res.Coverage.Add(stats.NewSeries(sp.Label))
+	}
+	meta := make([]obs.ManifestTask, len(recs))
+	for ti := range recs {
+		rec := &recs[ti]
+		if rec.err != nil {
+			return nil, fmt.Errorf("%s: %w", rec.workload, rec.err)
 		}
-		perfSeries[t.si].Add(ws[t.wi].Name, vals[ti][0])
-		covSeries[t.si].Add(ws[t.wi].Name, vals[ti][1])
+		res.Perf.Series[ti%len(specs)].Add(rec.workload, rec.perf)
+		res.Coverage.Series[ti%len(specs)].Add(rec.workload, rec.cov)
+		meta[ti] = rec.manifest()
 	}
 	if err := writeSweepManifest(title, opts, started, meta); err != nil {
 		return nil, err
 	}
-	sweepFinishLog(title, started, len(tasks))
+	if l := tlog(); l != nil {
+		l.Info("sweep.finish", "title", title, "tasks", len(recs),
+			"wall_ms", float64(time.Since(started))/float64(time.Millisecond))
+	}
 	return res, nil
 }
 
-// manifestTask assembles one manifest entry from a finished task.
-func manifestTask(workload, series string, worker int, started time.Time, outcome string, files []string, idx *obs.IndexInfo, err error) obs.ManifestTask {
+// taskRecord is one finished sweep task, built once when the task ends.
+// Every view of the task derives from it: the task span's attributes,
+// /debug/sweep progress, the manifest entry, the ledger record, the task
+// metrics, the task.finish log and the per-workload progress line.
+type taskRecord struct {
+	index            int // task index: (workload index)*len(specs) + spec index
+	workload, series string
+	worker           int
+	wall             time.Duration
+	specResult       // key, outcome, stats, report values, obs files
+	use              metrics.Usage
+	err              error
+}
+
+func (r *taskRecord) wallMS() float64 { return float64(r.wall) / float64(time.Millisecond) }
+
+// manifest is the record's run-manifest entry.
+func (r *taskRecord) manifest() obs.ManifestTask {
 	mt := obs.ManifestTask{
-		Workload: workload,
-		Series:   series,
-		Worker:   worker,
-		WallMS:   float64(time.Since(started)) / float64(time.Millisecond),
-		Cache:    outcome,
-		Files:    files,
-		Index:    idx,
+		Workload: r.workload,
+		Series:   r.series,
+		Worker:   r.worker,
+		WallMS:   r.wallMS(),
+		Cache:    r.outcome,
+		Files:    r.files,
+		Index:    r.idx,
 	}
-	if err != nil {
-		mt.Error = err.Error()
+	if r.err != nil {
+		mt.Error = r.err.Error()
 	}
 	return mt
+}
+
+// runTask evaluates task ti, (w, sp), on pinned worker k, bracketed by a
+// task span, pprof labels and the thread's CPU accounting, and returns its
+// record.
+func runTask(ctx context.Context, pin *metrics.PinnedThread, ti, k int, w *workload.Workload, sp SeriesSpec, opts Options) taskRecord {
+	rec := taskRecord{index: ti, workload: w.Name, series: sp.Label, worker: k}
+	started, um := time.Now(), pin.Mark()
+	tctx, span := metrics.StartSpan(ctx, "task",
+		metrics.L("workload", w.Name), metrics.L("series", sp.Label))
+	// Label the task's goroutine so CPU profiles grabbed from /debug/pprof
+	// attribute samples to (workload, spec).
+	pprof.Do(tctx, pprof.Labels("workload", w.Name, "spec", sp.Label), func(ctx context.Context) {
+		rec.specResult, rec.err = evalSpec(ctx, w, opts.input(), sp, opts.Obs)
+	})
+	rec.use = um.Since()
+	rec.wall = time.Since(started)
+	if metrics.CPUAccountingOn() {
+		span.SetCPUNanos(rec.use.CPUNanos)
+	}
+	span.SetAttr("cache", rec.outcome)
+	span.End()
+	return rec
 }
 
 // writeSweepManifest writes the run manifest into the observability
@@ -309,29 +337,12 @@ func writeSweepManifest(title string, opts Options, started time.Time, tasks []o
 			"pipetrace-bin": fmt.Sprint(opts.Obs.PipetraceBin),
 			"intervals":     fmt.Sprint(opts.Obs.IntervalEvery),
 			"index-every":   fmt.Sprint(opts.Obs.IndexEvery),
-			"nocache":       fmt.Sprint(opts.NoCache),
+			"nocache":       fmt.Sprint(cachingDisabled()),
 		},
 		Spans: metrics.TraceOut(),
 		Tasks: tasks,
 	}
 	return obs.WriteManifest(filepath.Join(opts.Obs.Dir, obs.Sanitize(title)+".manifest.json"), m)
-}
-
-// sweepFinishLog emits the sweep.finish telemetry event.
-func sweepFinishLog(title string, started time.Time, tasks int) {
-	if l := tlog(); l != nil {
-		l.Info("sweep.finish", "title", title, "tasks", tasks,
-			"wall_ms", float64(time.Since(started))/float64(time.Millisecond))
-	}
-}
-
-// profCfgOf resolves a spec's profiling configuration (self-trained on the
-// run configuration unless overridden).
-func profCfgOf(sp SeriesSpec) pipeline.Config {
-	if sp.ProfCfg != nil {
-		return *sp.ProfCfg
-	}
-	return sp.Cfg
 }
 
 // specResult carries everything one evaluated series point produces:
@@ -347,27 +358,30 @@ type specResult struct {
 	key       simcache.Key
 }
 
-// evalSpec computes one (workload, spec) point through the caches.
+// evalSpec computes one (workload, spec) point through the caches. With
+// the caches disabled every lookup computes fresh and the outcome reads
+// "nocache"; observed runs read "traced" either way.
 func evalSpec(ctx context.Context, w *workload.Workload, input string, sp SeriesSpec, o *obs.Options) (specResult, error) {
 	var r specResult
 	bench, err := PrepareSharedCtx(ctx, w, input)
 	if err != nil {
 		return r, err
 	}
-	r.key = TaskKey(bench, sp.Sel, profCfgOf(sp), sp.ProfInput, sp.Cfg, nil)
+	r.key = resultKey(bench, sp)
 	baseStats, err := singletonStats(ctx, bench, pipeline.Baseline())
 	if err != nil {
 		return r, err
 	}
 	var st *pipeline.Stats
-	if o.Active() {
+	switch {
+	case o.Active():
 		st, r.files, r.idx, err = runSpecObserved(ctx, bench, sp, o)
 		r.outcome = cacheTraced
-	} else if sp.Sel == nil {
-		st, r.outcome, err = singletonStatsNoted(ctx, bench, sp.Cfg)
-	} else {
-		st, r.outcome, err = evalStatsNoted(ctx, bench, sp.Sel, profCfgOf(sp), sp.ProfInput, sp.Cfg,
-			minigraph.DefaultLimits(), minigraph.DefaultSelectConfig())
+	case cachingDisabled():
+		st, _, err = seriesStats(ctx, bench, sp)
+		r.outcome = cacheNone
+	default:
+		st, r.outcome, err = seriesStats(ctx, bench, sp)
 	}
 	if err != nil {
 		return r, err
@@ -395,8 +409,7 @@ func runSpecObserved(ctx context.Context, b *Bench, sp SeriesSpec, o *obs.Option
 		span.End()
 	} else {
 		var chosen *minigraph.Selection
-		chosen, err = deriveSelection(ctx, b, sp.Sel, profCfgOf(sp), sp.ProfInput,
-			minigraph.DefaultLimits(), minigraph.DefaultSelectConfig())
+		chosen, err = deriveSelection(ctx, b, sp)
 		if err == nil {
 			_, span := metrics.StartSpan(ctx, "simulate",
 				metrics.L("workload", b.Workload.Name), metrics.L("config", sp.Cfg.Name),
@@ -412,201 +425,6 @@ func runSpecObserved(ctx context.Context, b *Bench, sp SeriesSpec, o *obs.Option
 		return nil, watch.Files(), watch.IndexInfo(), err
 	}
 	return st, watch.Files(), watch.IndexInfo(), nil
-}
-
-// runSweepUncached is the -nocache path: per-workload goroutines, fresh
-// preparation and simulation for every series, nothing shared across
-// sweeps. It exists so timing-accuracy investigations can rule the caches
-// out, and as the reference the cached path is tested against. Returns
-// one manifest entry per (workload, spec), in task order.
-func runSweepUncached(ctx context.Context, title string, opts Options, ws []*workload.Workload, specs []SeriesSpec, perfSeries, covSeries []*stats.Series, track *metrics.SweepProgress) ([]obs.ManifestTask, error) {
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	workers := opts.workers()
-	if workers > len(ws) {
-		workers = len(ws)
-	}
-	meta := make([]obs.ManifestTask, len(ws)*len(specs))
-	sem := make(chan struct{}, workers)
-	for wi, w := range ws {
-		wg.Add(1)
-		go func(wi int, w *workload.Workload) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-
-			vals, covs, tasks, err := evalWorkloadUncached(ctx, title, w, wi, opts, specs, track)
-			copy(meta[wi*len(specs):], tasks)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s: %w", w.Name, err)
-				}
-				return
-			}
-			for i := range specs {
-				perfSeries[i].Add(w.Name, vals[i])
-				covSeries[i].Add(w.Name, covs[i])
-			}
-			if opts.Progress != nil {
-				fmt.Fprintf(opts.Progress, "done %s\n", w.Name)
-			}
-		}(wi, w)
-	}
-	wg.Wait()
-	return meta, firstErr
-}
-
-// evalWorkloadUncached runs all specs for one workload from scratch and
-// returns relative performance, coverage, and a manifest entry per spec.
-// wi labels this workload's goroutine in telemetry (the uncached path has
-// no shared worker pool).
-func evalWorkloadUncached(ctx context.Context, title string, w *workload.Workload, wi int, opts Options, specs []SeriesSpec, track *metrics.SweepProgress) ([]float64, []float64, []obs.ManifestTask, error) {
-	// Each workload goroutine is one trace thread (tid wi+1) within the
-	// sweep; its tasks occupy the progress slots [wi*len(specs), ...).
-	// Pinned to its OS thread so per-task RUSAGE_THREAD deltas are exact.
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	ctx = metrics.WithTid(ctx, wi+1)
-	_, psp := metrics.StartSpan(ctx, "prepare",
-		metrics.L("workload", w.Name), metrics.L("input", opts.input()))
-	bench, err := Prepare(w, opts.input())
-	psp.End()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	_, bsp := metrics.StartSpan(ctx, "simulate",
-		metrics.L("workload", w.Name), metrics.L("config", pipeline.Baseline().Name))
-	baseStats, err := bench.RunSingleton(pipeline.Baseline())
-	bsp.End()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	base := baseStats.Cycles
-
-	// Benches for cross-input profiling are prepared lazily and shared.
-	crossBenches := map[string]*Bench{}
-
-	vals := make([]float64, len(specs))
-	covs := make([]float64, len(specs))
-	meta := make([]obs.ManifestTask, len(specs))
-	for i, sp := range specs {
-		if l := tlog(); l != nil {
-			l.Info("task.start", "workload", w.Name, "series", sp.Label, "worker", wi)
-		}
-		track.TaskRunning(wi*len(specs)+i, wi)
-		t0 := time.Now()
-		um := metrics.MarkUsage()
-		tctx, span := metrics.StartSpan(ctx, "task",
-			metrics.L("workload", w.Name), metrics.L("series", sp.Label),
-			metrics.L("cache", cacheNone))
-		var st *pipeline.Stats
-		var files []string
-		var idx *obs.IndexInfo
-		// Label the task's goroutine so CPU profiles grabbed from
-		// /debug/pprof attribute samples to (workload, spec).
-		pprof.Do(tctx, pprof.Labels("workload", w.Name, "spec", sp.Label), func(ctx context.Context) {
-			st, files, idx, err = evalSpecUncached(ctx, bench, w, sp, opts, crossBenches)
-		})
-		use := um.Since()
-		if metrics.CPUAccountingOn() {
-			span.SetCPUNanos(use.CPUNanos)
-		}
-		span.End()
-		meta[i] = manifestTask(w.Name, sp.Label, wi, t0, cacheNone, files, idx, err)
-		appendTaskRecord(title, w.Name, sp.Label, opts.input(),
-			TaskKey(bench, sp.Sel, profCfgOf(sp), sp.ProfInput, sp.Cfg, nil), st, cacheNone, t0, err, use)
-		track.TaskDone(wi*len(specs)+i, cacheNone, err)
-		noteTaskMetrics(meta[i])
-		if l := tlog(); l != nil {
-			l.Info("task.finish", "workload", w.Name, "series", sp.Label,
-				"worker", wi, "wall_ms", meta[i].WallMS, "cache", cacheNone)
-		}
-		if err != nil {
-			return nil, nil, meta, err
-		}
-		vals[i] = float64(base) / float64(st.Cycles)
-		covs[i] = st.Coverage()
-	}
-	return vals, covs, meta, nil
-}
-
-// evalSpecUncached evaluates one spec for a workload entirely from
-// scratch. Cross-input profiling benches are prepared on demand and
-// shared through crossBenches (per-workload, single goroutine — no
-// locking needed).
-func evalSpecUncached(ctx context.Context, bench *Bench, w *workload.Workload, sp SeriesSpec, opts Options, crossBenches map[string]*Bench) (*pipeline.Stats, []string, *obs.IndexInfo, error) {
-	if sp.Sel == nil {
-		return runUncachedSingleton(bench, sp, opts.Obs)
-	}
-	profCfg := profCfgOf(sp)
-	profBench := bench
-	if sp.ProfInput != "" && sp.ProfInput != opts.input() {
-		pb, ok := crossBenches[sp.ProfInput]
-		if !ok {
-			var err error
-			pb, err = Prepare(w, sp.ProfInput)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			crossBenches[sp.ProfInput] = pb
-		}
-		profBench = pb
-	}
-	var prof *slack.Profile
-	if sp.Sel.NeedsProfile() {
-		// Cross-input: collect the profile on the other input's bench and
-		// apply it here (static indices align — the code is identical,
-		// only the data differs).
-		_, prsp := metrics.StartSpan(ctx, "profile",
-			metrics.L("workload", w.Name), metrics.L("config", profCfg.Name))
-		p, err := profBench.Profile(profCfg)
-		prsp.End()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		prof = p
-	}
-	return runUncachedSelected(bench, sp, prof, opts.Obs)
-}
-
-// runUncachedSingleton runs a singleton series point fresh, observed when
-// o is active.
-func runUncachedSingleton(b *Bench, sp SeriesSpec, o *obs.Options) (*pipeline.Stats, []string, *obs.IndexInfo, error) {
-	if !o.Active() {
-		st, err := b.RunSingleton(sp.Cfg)
-		return st, nil, nil, err
-	}
-	watch, err := obs.NewRunObserver(o, obs.Sanitize(b.Workload.Name)+"__"+obs.Sanitize(sp.Label))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	st, err := b.RunSingletonObserved(sp.Cfg, watch)
-	if cerr := watch.Close(); err == nil {
-		err = cerr
-	}
-	return st, watch.Files(), watch.IndexInfo(), err
-}
-
-// runUncachedSelected selects with sp.Sel over prof and runs fresh,
-// observed when o is active.
-func runUncachedSelected(b *Bench, sp SeriesSpec, prof *slack.Profile, o *obs.Options) (*pipeline.Stats, []string, *obs.IndexInfo, error) {
-	chosen := b.Select(sp.Sel, prof)
-	if !o.Active() {
-		st, err := b.Run(sp.Cfg, sp.Sel, chosen)
-		return st, nil, nil, err
-	}
-	watch, err := obs.NewRunObserver(o, obs.Sanitize(b.Workload.Name)+"__"+obs.Sanitize(sp.Label))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	st, err := b.RunObserved(sp.Cfg, sp.Sel, chosen, watch)
-	if cerr := watch.Close(); err == nil {
-		err = cerr
-	}
-	return st, watch.Files(), watch.IndexInfo(), err
 }
 
 // --- Figure/table drivers ---

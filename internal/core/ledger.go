@@ -2,13 +2,9 @@ package core
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/internal/ledger"
-	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
-	"repro/internal/simcache"
 )
 
 // This file bridges the sweep engine to the persistent run ledger. The
@@ -37,7 +33,7 @@ func RunLedger() *ledger.Ledger { return runLedger.Load() }
 // no-op when no ledger is installed. Append failures are reported through
 // telemetry rather than failing the sweep: history is an observability
 // concern, never a correctness one.
-func appendTaskRecord(sweep, workload, series, input string, key simcache.Key, st *pipeline.Stats, outcome string, started time.Time, err error, use metrics.Usage) {
+func appendTaskRecord(sweep, input string, t *taskRecord) {
 	l := runLedger.Load()
 	if l == nil {
 		return
@@ -45,22 +41,22 @@ func appendTaskRecord(sweep, workload, series, input string, key simcache.Key, s
 	r := ledger.Record{
 		Tool:     "sweep",
 		Sweep:    sweep,
-		Workload: workload,
-		Series:   series,
+		Workload: t.workload,
+		Series:   t.series,
 		Input:    input,
-		Key:      key.Short(),
-		Cache:    outcome,
-		WallMS:   float64(time.Since(started)) / float64(time.Millisecond),
-		CPUMS:    float64(use.CPUNanos) / 1e6,
-		MaxRSSKB: use.MaxRSSKB,
-		GCCycles: use.GCCycles,
+		Key:      t.key.Short(),
+		Cache:    t.outcome,
+		WallMS:   t.wallMS(),
+		CPUMS:    float64(t.use.CPUNanos) / 1e6,
+		MaxRSSKB: t.use.MaxRSSKB,
+		GCCycles: t.use.GCCycles,
 	}
-	if st != nil {
+	if st := t.stats; st != nil {
 		r.Cycles, r.Instrs, r.Uops = st.Cycles, st.Instrs, st.Uops
 		r.IPC, r.UPC, r.Coverage = st.IPC(), st.UPC(), st.Coverage()
 	}
-	if err != nil {
-		r.Error = err.Error()
+	if t.err != nil {
+		r.Error = t.err.Error()
 	}
 	if werr := l.Append(r); werr != nil {
 		if log := tlog(); log != nil {

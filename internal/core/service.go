@@ -80,6 +80,9 @@ func SetCachingDisabled(d bool) {
 	candsCache.SetDisabled(d)
 }
 
+// cachingDisabled reports whether SetCachingDisabled is in effect.
+func cachingDisabled() bool { return resultCache.Disabled() }
+
 // PrepareShared is Prepare through the process-wide bench cache: each
 // (workload, input) pair is built and functionally emulated exactly once
 // per process, no matter how many sweeps request it.
@@ -121,35 +124,62 @@ func identityOf(sel *selector.Selector) selIdentity {
 	return selIdentity{Name: sel.Name(), Dyn: sel.Dyn}
 }
 
-// singletonStats returns the cached singleton (no mini-graphs) timing of
-// bench b on cfg.
-func singletonStats(ctx context.Context, b *Bench, cfg pipeline.Config) (*pipeline.Stats, error) {
-	st, _, err := singletonStatsNoted(ctx, b, cfg)
-	return st, err
+// resultKey is the result-cache fingerprint of series point sp on b:
+// everything that determines its timing (workload, input, machine config,
+// selector identity, profile provenance, enumeration limits, MGT budget).
+// The one key function behind the result cache, TaskKey and the run
+// ledger.
+func resultKey(b *Bench, sp SeriesSpec) simcache.Key {
+	if sp.Sel == nil {
+		return simcache.Fingerprint("singleton", b.Workload.Name, b.Input, sp.Cfg)
+	}
+	return simcache.Fingerprint("eval", b.Workload.Name, b.Input,
+		identityOf(sp.Sel), profCfgOf(sp), sp.profInput(b), sp.Cfg, sp.limits(), sp.selectCfg())
 }
 
-// singletonStatsNoted is singletonStats plus the cache outcome for
-// telemetry.
-func singletonStatsNoted(ctx context.Context, b *Bench, cfg pipeline.Config) (*pipeline.Stats, string, error) {
-	key := simcache.Fingerprint("singleton", b.Workload.Name, b.Input, cfg)
-	return doNoted(ctx, resultCache, key, func(ctx context.Context) (*pipeline.Stats, error) {
-		_, sp := metrics.StartSpan(ctx, "simulate",
-			metrics.L("workload", b.Workload.Name), metrics.L("config", cfg.Name))
-		defer sp.End()
-		return b.RunSingleton(cfg)
+// seriesStats returns the cached timing of series point sp on b plus the
+// cache outcome for telemetry: select with sp.Sel (profiling where needed)
+// and run on sp.Cfg, or run singleton when sp.Sel is nil. Equal work
+// dedupes across figure and ablation drivers because the key covers every
+// knob.
+func seriesStats(ctx context.Context, b *Bench, sp SeriesSpec) (*pipeline.Stats, string, error) {
+	return resultCache.DoCtx(ctx, resultKey(b, sp), func(ctx context.Context) (*pipeline.Stats, error) {
+		if sp.Sel == nil {
+			_, span := metrics.StartSpan(ctx, "simulate",
+				metrics.L("workload", b.Workload.Name), metrics.L("config", sp.Cfg.Name))
+			defer span.End()
+			return b.RunSingleton(sp.Cfg)
+		}
+		chosen, err := deriveSelection(ctx, b, sp)
+		if err != nil {
+			return nil, err
+		}
+		_, span := metrics.StartSpan(ctx, "simulate",
+			metrics.L("workload", b.Workload.Name), metrics.L("config", sp.Cfg.Name),
+			metrics.L("policy", sp.Sel.Name()))
+		defer span.End()
+		return b.Run(sp.Cfg, sp.Sel, chosen)
 	})
 }
 
-// deriveSelection performs the selection stage of one series point through
+// singletonStats returns the cached singleton (no mini-graphs) timing of
+// bench b on cfg.
+func singletonStats(ctx context.Context, b *Bench, cfg pipeline.Config) (*pipeline.Stats, error) {
+	st, _, err := seriesStats(ctx, b, SeriesSpec{Cfg: cfg})
+	return st, err
+}
+
+// deriveSelection performs the selection stage of series point sp through
 // the shared caches: the slack profile (possibly on a cross-input bench),
-// the candidate pool under limits, the policy filter, and the final
-// budgeted selection. profInput == "" means self-trained (b's own input).
-func deriveSelection(ctx context.Context, b *Bench, sel *selector.Selector, profCfg pipeline.Config, profInput string, limits minigraph.Limits, selCfg minigraph.SelectConfig) (*minigraph.Selection, error) {
+// the candidate pool under the spec's limits, the policy filter, and the
+// final budgeted selection.
+func deriveSelection(ctx context.Context, b *Bench, sp SeriesSpec) (*minigraph.Selection, error) {
 	var prof *slack.Profile
-	if sel.NeedsProfile() {
+	if sp.Sel.NeedsProfile() {
+		profCfg := profCfgOf(sp)
 		pctx, psp := metrics.StartSpan(ctx, "profile",
 			metrics.L("workload", b.Workload.Name), metrics.L("config", profCfg.Name))
-		p, err := collectProfile(pctx, b, profCfg, profInput)
+		p, err := collectProfile(pctx, b, profCfg, sp.profInput(b))
 		psp.End()
 		if err != nil {
 			return nil, err
@@ -157,7 +187,7 @@ func deriveSelection(ctx context.Context, b *Bench, sel *selector.Selector, prof
 		prof = p
 	}
 	cands := b.Cands
-	if limits != minigraph.DefaultLimits() {
+	if limits := sp.limits(); limits != minigraph.DefaultLimits() {
 		c, err := enumerateShared(ctx, b, limits)
 		if err != nil {
 			return nil, err
@@ -165,17 +195,17 @@ func deriveSelection(ctx context.Context, b *Bench, sel *selector.Selector, prof
 		cands = c
 	}
 	_, ssp := metrics.StartSpan(ctx, "select",
-		metrics.L("workload", b.Workload.Name), metrics.L("policy", sel.Name()))
+		metrics.L("workload", b.Workload.Name), metrics.L("policy", sp.Sel.Name()))
 	defer ssp.End()
-	pool := sel.Pool(b.Prog, cands, prof)
-	return minigraph.Select(b.Prog, pool, b.Freq, selCfg), nil
+	pool := sp.Sel.Pool(b.Prog, cands, prof)
+	return minigraph.Select(b.Prog, pool, b.Freq, sp.selectCfg()), nil
 }
 
 // collectProfile resolves the profiling bench (possibly cross-input) and
 // returns its slack profile on profCfg.
 func collectProfile(ctx context.Context, b *Bench, profCfg pipeline.Config, profInput string) (*slack.Profile, error) {
 	profBench := b
-	if profInput != "" && profInput != b.Input {
+	if profInput != b.Input {
 		// Cross-input robustness: collect the profile on the other
 		// input's bench (static indices align — the code is
 		// identical, only the data differs).
@@ -188,52 +218,14 @@ func collectProfile(ctx context.Context, b *Bench, profCfg pipeline.Config, prof
 	return profBench.ProfileCtx(ctx, profCfg)
 }
 
-// evalStats returns the cached outcome of one experiment series point:
-// select with sel (profiling on profCfg over profInput where needed) and
-// run on runCfg. limits and selCfg are the candidate-enumeration and MGT
-// budget knobs (pass the defaults for non-ablation series, so equal work
-// dedupes across figure and ablation drivers).
-func evalStats(ctx context.Context, b *Bench, sel *selector.Selector, profCfg pipeline.Config, profInput string, runCfg pipeline.Config, limits minigraph.Limits, selCfg minigraph.SelectConfig) (*pipeline.Stats, error) {
-	st, _, err := evalStatsNoted(ctx, b, sel, profCfg, profInput, runCfg, limits, selCfg)
-	return st, err
-}
-
-// evalStatsNoted is evalStats plus the cache outcome for telemetry.
-func evalStatsNoted(ctx context.Context, b *Bench, sel *selector.Selector, profCfg pipeline.Config, profInput string, runCfg pipeline.Config, limits minigraph.Limits, selCfg minigraph.SelectConfig) (*pipeline.Stats, string, error) {
-	if profInput == "" {
-		profInput = b.Input
-	}
-	key := simcache.Fingerprint("eval", b.Workload.Name, b.Input,
-		identityOf(sel), profCfg, profInput, runCfg, limits, selCfg)
-	return doNoted(ctx, resultCache, key, func(ctx context.Context) (*pipeline.Stats, error) {
-		chosen, err := deriveSelection(ctx, b, sel, profCfg, profInput, limits, selCfg)
-		if err != nil {
-			return nil, err
-		}
-		_, sp := metrics.StartSpan(ctx, "simulate",
-			metrics.L("workload", b.Workload.Name), metrics.L("config", runCfg.Name),
-			metrics.L("policy", sel.Name()))
-		defer sp.End()
-		return b.Run(runCfg, sel, chosen)
-	})
-}
-
-// TaskKey returns the content-addressed fingerprint of one series point —
-// the same key singletonStatsNoted/evalStatsNoted file the result under
-// (with default enumeration limits and MGT budget), exported so run-ledger
-// records carry the identity the cache uses. sel == nil means singleton
-// execution; profInput == "" means self-trained. The last parameter must
-// be nil; it is kept for reprobench and dropped by the next benchmark PR.
+// TaskKey returns the content-addressed fingerprint of one series point
+// with default enumeration limits and MGT budget — the key the result
+// cache files it under, exported so callers outside the sweep can name a
+// run-ledger record. sel == nil means singleton execution; profInput == ""
+// means self-trained. The last parameter must be nil; reprobench still
+// passes it.
 func TaskKey(b *Bench, sel *selector.Selector, profCfg pipeline.Config, profInput string, runCfg pipeline.Config, _ *struct{}) simcache.Key {
-	if sel == nil {
-		return simcache.Fingerprint("singleton", b.Workload.Name, b.Input, runCfg)
-	}
-	if profInput == "" {
-		profInput = b.Input
-	}
-	return simcache.Fingerprint("eval", b.Workload.Name, b.Input,
-		identityOf(sel), profCfg, profInput, runCfg,
-		minigraph.DefaultLimits(), minigraph.DefaultSelectConfig())
+	return resultKey(b, SeriesSpec{Cfg: runCfg, Sel: sel, ProfCfg: &profCfg, ProfInput: profInput})
 }
 
 // enumerateShared returns the cached candidate pool of b under non-default

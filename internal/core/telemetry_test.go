@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
-	"expvar"
 	"sort"
 	"strings"
 	"testing"
@@ -12,42 +10,56 @@ import (
 	"repro/internal/simcache"
 )
 
-// TestExpvarScrapeMidSweep publishes the cache counters as expvar and
-// hammers the scrape path while a sweep runs (exercised under -race in CI):
-// every scrape must decode as a consistent JSON snapshot.
-func TestExpvarScrapeMidSweep(t *testing.T) {
+// TestMetricsScrapeMidSweep hammers the /metrics exposition while a sweep
+// runs (exercised under -race in CI): every mid-sweep scrape must parse,
+// and the cache lookup counters must never go backwards between scrapes.
+func TestMetricsScrapeMidSweep(t *testing.T) {
 	ResetCaches()
-	PublishExpvars()
-	v := expvar.Get("simcache")
-	if v == nil {
-		t.Fatal("PublishExpvars did not publish simcache")
-	}
+	reg := EnableMetrics()
 
 	stop := make(chan struct{})
 	scraped := make(chan int)
 	go func() {
 		n := 0
+		last := map[string]float64{}
+		defer func() { scraped <- n }()
 		for {
 			select {
 			case <-stop:
-				scraped <- n
 				return
 			default:
 			}
-			var snap CacheCounters
-			if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-				t.Errorf("mid-sweep scrape not valid JSON: %v", err)
-				scraped <- n
+			var b bytes.Buffer
+			if err := reg.WritePrometheus(&b); err != nil {
+				t.Errorf("mid-sweep scrape: %v", err)
 				return
 			}
-			if snap.Benches.Entries < 0 || snap.Results.Entries < 0 {
-				t.Errorf("nonsense snapshot: %+v", snap)
+			samples, err := metrics.ParseText(&b)
+			if err != nil {
+				t.Errorf("mid-sweep scrape not parseable: %v", err)
+				return
+			}
+			for _, s := range samples {
+				if !strings.HasPrefix(s.Name, "mg_cache_") {
+					continue
+				}
+				if s.Value < 0 {
+					t.Errorf("negative %s: %v", s.Name, s.Value)
+				}
+				if s.Name != "mg_cache_lookups_total" {
+					continue
+				}
+				id := s.Key()
+				if s.Value < last[id] {
+					t.Errorf("%s went backwards: %v -> %v", id, last[id], s.Value)
+				}
+				last[id] = s.Value
 			}
 			n++
 		}
 	}()
 
-	if _, err := RunSweep("expvar-scrape", smallSweepOpts(), smallSpecs()); err != nil {
+	if _, err := RunSweep("metrics-scrape", smallSweepOpts(), smallSpecs()); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)

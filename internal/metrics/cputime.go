@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"runtime"
 	rtm "runtime/metrics"
 	"time"
 )
@@ -10,16 +11,30 @@ import (
 // reads (per OS thread where the platform supports it, per process
 // otherwise), the process RSS high-water mark, and paired mark/delta
 // snapshots that attribute CPU, GC cycles and heap allocation to one task.
-// Sweep workers pin their OS thread (runtime.LockOSThread) and bracket
-// each task with MarkUsage/Since, so a task's recorded CPU is the thread's
-// rusage delta — robust to host load in a way wall time never is.
+// Sweep workers pin their OS thread with PinThread and bracket each task
+// with Mark/Since on the handle, so a task's recorded CPU is the thread's
+// rusage delta — robust to host load in a way wall time never is. Thread
+// CPU is readable only through that handle: an unpinned goroutine would
+// read whichever thread it happens to run on.
 
-// ThreadCPUNanos returns the CPU time (user+system) consumed by the
-// calling OS thread, in nanoseconds. Exact per-task attribution requires
-// the goroutine to be pinned with runtime.LockOSThread; an unpinned caller
-// reads whichever thread it happens to run on. On platforms without
-// per-thread rusage this falls back to process CPU time.
-func ThreadCPUNanos() int64 { return threadCPUNanos() }
+// PinnedThread is the calling goroutine locked to its OS thread. It is the
+// only way to read per-thread CPU time; obtain one with PinThread and
+// release it with Unpin on the same goroutine.
+type PinnedThread struct{ pinned bool }
+
+// PinThread locks the calling goroutine to its OS thread
+// (runtime.LockOSThread) and returns the handle per-thread CPU reads go
+// through.
+func PinThread() *PinnedThread {
+	runtime.LockOSThread()
+	return &PinnedThread{pinned: true}
+}
+
+// Unpin releases the thread; the handle must not be used afterwards.
+func (t *PinnedThread) Unpin() {
+	t.pinned = false
+	runtime.UnlockOSThread()
+}
 
 // ProcessCPUNanos returns the whole process's consumed CPU time
 // (user+system), in nanoseconds; 0 where unavailable.
@@ -51,17 +66,20 @@ type Usage struct {
 }
 
 // UsageMark is a snapshot of the counters Usage is computed from; take one
-// with MarkUsage before the work and call Since after it.
+// with PinnedThread.Mark before the work and call Since after it.
 type UsageMark struct {
 	cpu    int64
 	gc     uint64
 	allocs uint64
 }
 
-// MarkUsage snapshots the calling thread's CPU time and the process GC and
-// allocation counters. The caller must stay pinned to its OS thread
-// (runtime.LockOSThread) until Since, or the CPU delta is meaningless.
-func MarkUsage() UsageMark {
+// Mark snapshots the pinned thread's CPU time and the process GC and
+// allocation counters. Call Since before Unpin. Mark on a handle that
+// PinThread did not produce, or that was unpinned, panics.
+func (t *PinnedThread) Mark() UsageMark {
+	if t == nil || !t.pinned {
+		panic("metrics: Mark on an unpinned thread")
+	}
 	s := []rtm.Sample{
 		{Name: "/gc/cycles/total:gc-cycles"},
 		{Name: "/gc/heap/allocs:bytes"},
@@ -75,8 +93,8 @@ func MarkUsage() UsageMark {
 }
 
 // Since returns the resources consumed between the mark and now. A
-// negative CPU delta (the goroutine migrated threads because it was not
-// pinned) clamps to zero rather than reporting another thread's time.
+// negative CPU delta (Since ran after Unpin, on another thread) clamps to
+// zero rather than reporting another thread's time.
 func (m UsageMark) Since() Usage {
 	cpu := threadCPUNanos() - m.cpu
 	if cpu < 0 {

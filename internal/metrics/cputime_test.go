@@ -25,23 +25,21 @@ func TestThreadCPUNanos(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("RUSAGE_THREAD is linux-only; the stub returns 0")
 	}
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	before := ThreadCPUNanos()
+	pin := PinThread()
+	defer pin.Unpin()
+	m := pin.Mark()
 	_ = burnCPU(50 * time.Millisecond)
-	after := ThreadCPUNanos()
-	if after <= before {
-		t.Errorf("thread CPU did not advance across a busy loop: %d -> %d", before, after)
+	if u := m.Since(); u.CPUNanos <= 0 {
+		t.Errorf("thread CPU did not advance across a busy loop: %d", u.CPUNanos)
 	}
 }
 
-// TestMarkUsage brackets a busy, allocating region with MarkUsage/Since
-// and checks the deltas are sane. The goroutine is pinned, as MarkUsage's
-// contract requires: unpinned, a migration would clamp the CPU delta to 0.
+// TestMarkUsage brackets a busy, allocating region with Mark/Since on a
+// pinned-thread handle and checks the deltas are sane.
 func TestMarkUsage(t *testing.T) {
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	m := MarkUsage()
+	pin := PinThread()
+	defer pin.Unpin()
+	m := pin.Mark()
 	_ = burnCPU(50 * time.Millisecond)
 	sink := make([][]byte, 0, 64)
 	for i := 0; i < 64; i++ {

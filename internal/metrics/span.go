@@ -171,8 +171,8 @@ func StartSpan(ctx context.Context, name string, attrs ...Label) (context.Contex
 
 // SetCPUNanos records the span's CPU time, measured by the caller on a
 // pinned OS thread (the sweep workers bracket whole tasks with
-// MarkUsage/Since and stamp the exact delta here); non-positive values are
-// ignored.
+// PinnedThread.Mark/Since and stamp the exact delta here); non-positive
+// values are ignored.
 func (s *Span) SetCPUNanos(n int64) {
 	if s == nil || n <= 0 {
 		return
