@@ -192,9 +192,13 @@ benchjson:
 	echo "wrote $$out (baseline BENCH_PR$$n.json)"
 
 # profile: CPU and allocation pprof profiles of the mini-graph simulator
-# benchmark and of the slack-profiling run, written to the (gitignored)
-# profiles/ directory. Inspect with `go tool pprof profiles/minigraphs.cpu.pb.gz`
-# (top, list <fn>, web).
+# benchmark and of the slack-profiling run, plus the heap profile of a full
+# small-input reproduction (report.mem.pb.gz, written at exit, so its
+# inuse_space is what the reproduction keeps resident), all in the
+# (gitignored) profiles/ directory. Inspect with `go tool pprof
+# profiles/minigraphs.cpu.pb.gz` (top, list <fn>, web), and with
+# `go tool pprof -sample_index=inuse_space -top profiles/report.mem.pb.gz`
+# for what is resident.
 profile:
 	@mkdir -p profiles
 	$(GO) test -run NONE -bench BenchmarkSimulatorMiniGraphs -benchtime 100x -benchmem \
@@ -205,7 +209,9 @@ profile:
 		-cpuprofile profiles/profiling.cpu.pb.gz \
 		-memprofile profiles/profiling.mem.pb.gz \
 		-o profiles/pipeline.test ./internal/pipeline
-	@echo "wrote profiles/{minigraphs,profiling}.{cpu,mem}.pb.gz"
+	$(GO) run ./cmd/mgreport -exp all -input small -plots=false \
+		-memprofile profiles/report.mem.pb.gz >/dev/null
+	@echo "wrote profiles/{minigraphs,profiling}.{cpu,mem}.pb.gz and profiles/report.mem.pb.gz"
 
 report:
 	$(GO) run ./cmd/mgreport -exp all

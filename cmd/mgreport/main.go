@@ -37,6 +37,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -72,7 +73,12 @@ func main() {
 		wdWedge    = flag.Duration("watchdog-wedge", 2*time.Minute, "with -watchdog: flag the sweep when no task completes for this long")
 	)
 	flag.Parse()
-	runStart := time.Now()
+	runStart := metrics.StartRun()
+	only := splitNames(*workloads)
+	if err := checkFlags(*input, only, *workers, *intervals); err != nil {
+		fmt.Fprintln(os.Stderr, "mgreport:", err)
+		os.Exit(2)
+	}
 	if *refsched {
 		pipeline.SetDefaultScheduler(pipeline.SchedScan)
 	}
@@ -91,7 +97,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "mgreport:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintln(os.Stderr, metrics.FormatResources(time.Since(runStart)))
+		fmt.Fprintln(os.Stderr, metrics.FormatResources(runStart))
 		return
 	}
 
@@ -100,9 +106,7 @@ func main() {
 	if *watchdog {
 		opts.Watchdog = &core.WatchdogConfig{SlowFactor: *wdSlow, Wedge: *wdWedge}
 	}
-	if *workloads != "" {
-		opts.Workloads = splitNames(*workloads)
-	}
+	opts.Workloads = only
 	if *progress {
 		opts.Progress = os.Stderr
 	}
@@ -173,7 +177,27 @@ func main() {
 		}
 		f.Close()
 	}
-	fmt.Fprintln(os.Stderr, metrics.FormatResources(time.Since(runStart)))
+	fmt.Fprintln(os.Stderr, metrics.FormatResources(runStart))
+}
+
+// checkFlags rejects flag values no sweep can run, before the first task
+// starts: an unknown input set or -only workload, or a negative count.
+func checkFlags(input string, only []string, workers int, intervals int64) error {
+	if err := workload.CheckInput(input); err != nil {
+		return fmt.Errorf("-input: %w", err)
+	}
+	for _, name := range only {
+		if workload.Find(name) == nil {
+			return fmt.Errorf("-only: unknown workload %q", name)
+		}
+	}
+	if workers < 0 {
+		return fmt.Errorf("-workers %d: must not be negative", workers)
+	}
+	if intervals < 0 {
+		return fmt.Errorf("-intervals %d: must not be negative", intervals)
+	}
+	return nil
 }
 
 // splitNames splits a comma-separated list, dropping empty entries.

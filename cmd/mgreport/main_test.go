@@ -4,6 +4,7 @@ import (
 	"io"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -40,6 +41,36 @@ func TestAllHonorsWorkers(t *testing.T) {
 			if task.Worker != 0 {
 				t.Errorf("%s: %s/%s ran on worker %d, want 0", m.Title, task.Workload, task.Series, task.Worker)
 			}
+		}
+	}
+}
+
+// TestCheckFlags: flag values no sweep can run are rejected up front, each
+// with an error naming the flag, and valid values pass.
+func TestCheckFlags(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		input     string
+		only      []string
+		workers   int
+		intervals int64
+		flag      string // "" = valid
+	}{
+		{"valid", "small", []string{"comm.crc32", "media.adpcm_enc"}, 0, 0, ""},
+		{"defaults", "large", nil, 2, 500, ""},
+		{"unknown -only workload", "small", []string{"comm.crc32", "nosuch"}, 0, 0, "-only"},
+		{"unknown -input", "bogus", nil, 0, 0, "-input"},
+		{"negative -workers", "small", nil, -1, 0, "-workers"},
+		{"negative -intervals", "small", nil, 0, -1, "-intervals"},
+	} {
+		err := checkFlags(c.input, c.only, c.workers, c.intervals)
+		switch {
+		case c.flag == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", c.name, err)
+		case c.flag != "" && err == nil:
+			t.Errorf("%s: accepted", c.name)
+		case c.flag != "" && !strings.HasPrefix(err.Error(), c.flag):
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.flag)
 		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/selector"
 	"repro/internal/slack"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -45,6 +46,14 @@ func main() {
 		ledgerRev  = flag.String("ledger-rev", "", "revision label for ledger records (default: MG_REV or the binary's vcs revision)")
 	)
 	flag.Parse()
+	if err := workload.CheckInput(*input); err != nil {
+		fmt.Fprintln(os.Stderr, "mgselect: -input:", err)
+		os.Exit(2)
+	}
+	if *workers < 0 || *intervals < 0 {
+		fmt.Fprintf(os.Stderr, "mgselect: -workers %d, -intervals %d: must not be negative\n", *workers, *intervals)
+		os.Exit(2)
+	}
 	if *refsched {
 		pipeline.SetDefaultScheduler(pipeline.SchedScan)
 	}
@@ -120,6 +129,7 @@ func main() {
 		os.Exit(2)
 	}
 
+	runStart := metrics.StartRun()
 	t0 := time.Now()
 	// Whole-process deltas, not per-thread: the run is not pinned to an OS
 	// thread, so a thread-local reading would miss time after a migration.
@@ -208,5 +218,5 @@ func main() {
 	if *cacheStats {
 		core.FprintCacheStats(os.Stderr)
 	}
-	fmt.Fprintln(os.Stderr, metrics.FormatResources(time.Since(t0)))
+	fmt.Fprintln(os.Stderr, metrics.FormatResources(runStart))
 }

@@ -86,7 +86,15 @@ func main() {
 		ledgerRev = flag.String("ledger-rev", "", "revision label for ledger records (default: MG_REV or the binary's vcs revision)")
 	)
 	flag.Parse()
-	runStart := time.Now()
+	runStart := metrics.StartRun()
+	if err := workload.CheckInput(*input); err != nil {
+		fmt.Fprintln(os.Stderr, "mgsim: -input:", err)
+		os.Exit(2)
+	}
+	if *intervals < 0 {
+		fmt.Fprintf(os.Stderr, "mgsim: -intervals %d: must not be negative\n", *intervals)
+		os.Exit(2)
+	}
 	if *refsched {
 		pipeline.SetDefaultScheduler(pipeline.SchedScan)
 	}
@@ -249,5 +257,5 @@ func main() {
 
 	fmt.Printf("workload=%s input=%s config=%s selector=%s\n", *wName, *input, cfg.Name, *selName)
 	fmt.Print(st)
-	fmt.Fprintln(os.Stderr, metrics.FormatResources(time.Since(runStart)))
+	fmt.Fprintln(os.Stderr, metrics.FormatResources(runStart))
 }

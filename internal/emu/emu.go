@@ -1,8 +1,8 @@
 // Package emu is the functional (architectural) emulator. It executes a
 // program to completion and produces the committed dynamic instruction
 // trace that the timing pipeline replays: for every committed instruction,
-// its static index, the static index of its successor, and its memory
-// effective address if any.
+// its static index, its memory effective address if any, and whether a
+// control transfer was taken. A record's successor is the next record.
 //
 // The emulator is oblivious to mini-graphs: aggregation is a
 // microarchitectural transformation applied by the pipeline at fetch, so a
@@ -11,15 +11,17 @@ package emu
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/prog"
 )
 
-// Rec is one committed dynamic instruction.
+// Rec is one committed dynamic instruction, 12 bytes. The static index of
+// the next committed instruction is the following record's Index; the
+// final record is the halt.
 type Rec struct {
 	Index int32  // static instruction index
-	Next  int32  // static index of the next committed instruction, -1 after halt
 	Addr  uint32 // memory effective address (loads/stores), else 0
 	Taken bool   // for control transfers: whether the transfer was taken
 }
@@ -131,6 +133,14 @@ func (m *Memory) LoadImage(base uint32, data []byte) {
 	}
 }
 
+// traceScratch holds Run's growth buffers. A run appends into one and
+// returns an exact-length copy, so a committed trace carries neither an
+// initial-capacity floor nor append slack.
+var traceScratch = sync.Pool{New: func() any {
+	s := make([]Rec, 0, 1<<16)
+	return &s
+}}
+
 // Run executes p to the halt instruction and returns the trace and final
 // state. It returns an error for runaway executions, out-of-range control
 // transfers, or falling off the end of the code.
@@ -146,7 +156,12 @@ func Run(p *prog.Program, opts Options) (*Result, error) {
 	collect := opts.CollectTrace
 	var trace []Rec
 	if collect {
-		trace = make([]Rec, 0, 1<<16)
+		sp := traceScratch.Get().(*[]Rec)
+		trace = (*sp)[:0]
+		defer func() {
+			*sp = trace[:0]
+			traceScratch.Put(sp)
+		}()
 	}
 	code := p.Code
 	n := len(code)
@@ -304,24 +319,29 @@ func Run(p *prog.Program, opts Options) (*Result, error) {
 		dyn++
 		if in.Op == isa.OpHalt {
 			if collect {
-				trace = append(trace, Rec{Index: int32(pc), Next: -1})
+				trace = append(trace, Rec{Index: int32(pc)})
 			}
 			break
 		}
 		if collect {
-			trace = append(trace, Rec{Index: int32(pc), Next: int32(next), Addr: addr, Taken: taken})
+			trace = append(trace, Rec{Index: int32(pc), Addr: addr, Taken: taken})
 		}
 		pc = next
 	}
-	return &Result{
-		Trace:     trace,
+	res := &Result{
 		DynInstrs: dyn,
 		Regs:      regs,
 		Loads:     loads,
 		Stores:    stores,
 		Branches:  branches,
 		Taken:     takenCnt,
-	}, nil
+	}
+	if collect {
+		// Traces stay resident for a whole sweep: keep exactly the records.
+		res.Trace = make([]Rec, len(trace))
+		copy(res.Trace, trace)
+	}
+	return res, nil
 }
 
 func b2u(b bool) uint32 {

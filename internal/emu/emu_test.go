@@ -3,6 +3,7 @@ package emu
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/prog"
@@ -193,28 +194,33 @@ func TestTraceShape(t *testing.T) {
 	b.Bnez(1, "loop") // 2
 	b.Halt()          // 3
 	res := run(t, b.MustBuild())
-	want := []struct {
-		index, next int32
-		taken       bool
-	}{
-		{0, 1, false},
-		{1, 2, false},
-		{2, 1, true}, // taken back edge
-		{1, 2, false},
-		{2, 3, false}, // not taken
-		{3, -1, false},
+	want := []Rec{
+		{Index: 0},
+		{Index: 1},
+		{Index: 2, Taken: true}, // taken back edge
+		{Index: 1},
+		{Index: 2}, // not taken
+		{Index: 3}, // halt
 	}
-	if len(res.Trace) != len(want) {
-		t.Fatalf("trace len = %d, want %d", len(res.Trace), len(want))
+	if len(res.Trace) != len(want) || cap(res.Trace) != len(want) {
+		t.Fatalf("trace len/cap = %d/%d, want %d/%d", len(res.Trace), cap(res.Trace), len(want), len(want))
 	}
 	for i, w := range want {
-		r := res.Trace[i]
-		if r.Index != w.index || r.Next != w.next || r.Taken != w.taken {
+		if r := res.Trace[i]; r != w {
 			t.Errorf("trace[%d] = %+v, want %+v", i, r, w)
 		}
 	}
 	if res.DynInstrs != int64(len(want)) {
 		t.Errorf("DynInstrs = %d, want %d", res.DynInstrs, len(want))
+	}
+}
+
+// Traces are the reproduction's largest resident data: one record per
+// committed instruction, kept for a whole sweep. Hold the record at 12
+// bytes.
+func TestRecSize(t *testing.T) {
+	if n := unsafe.Sizeof(Rec{}); n != 12 {
+		t.Errorf("sizeof(Rec) = %d bytes, want 12", n)
 	}
 }
 
@@ -273,8 +279,10 @@ func TestMemoryRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: the trace is well-formed — each Rec.Next equals the following
-// Rec.Index, and the last record's Next is -1.
+// Property: the trace is well-formed and exact-size — its capacity is its
+// length, each record's successor is the following record (fall-through
+// unless taken, the branch target when a direct transfer is taken), and
+// the last record, and only the last, is the halt.
 func TestTraceLinkageProperty(t *testing.T) {
 	f := func(n uint8, seed uint8) bool {
 		iters := int64(n%50) + 1
@@ -288,16 +296,29 @@ func TestTraceLinkageProperty(t *testing.T) {
 		b.Bnez(1, "loop")
 		b.Mov(0, 2)
 		b.Halt()
-		res, err := Run(b.MustBuild(), Options{CollectTrace: true})
-		if err != nil {
+		p := b.MustBuild()
+		res, err := Run(p, Options{CollectTrace: true})
+		if err != nil || cap(res.Trace) != len(res.Trace) || int64(len(res.Trace)) != res.DynInstrs {
 			return false
 		}
-		for i := 0; i < len(res.Trace)-1; i++ {
-			if res.Trace[i].Next != res.Trace[i+1].Index {
+		last := len(res.Trace) - 1
+		for i, r := range res.Trace {
+			in := p.Code[r.Index]
+			if (in.Op == isa.OpHalt) != (i == last) {
+				return false
+			}
+			if i == last {
+				break
+			}
+			want := r.Index + 1
+			if r.Taken {
+				want = int32(in.Targ)
+			}
+			if res.Trace[i+1].Index != want {
 				return false
 			}
 		}
-		return res.Trace[len(res.Trace)-1].Next == -1
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -113,11 +113,23 @@ func (m UsageMark) Since() Usage {
 	}
 }
 
+// RunStart marks the start of a driver run: the wall clock and the
+// process CPU time read at the same moment, so the CPU/wall ratio
+// FormatResources prints covers one interval.
+type RunStart struct {
+	wall time.Time
+	cpu  int64
+}
+
+// StartRun marks the start of a run for FormatResources.
+func StartRun() RunStart { return RunStart{wall: time.Now(), cpu: processCPUNanos()} }
+
 // FormatResources renders the one-line end-of-run resource summary the
-// driver commands print to stderr: wall time, whole-process CPU time with
-// the CPU/wall ratio, the RSS high-water mark, and GC cycles.
-func FormatResources(wall time.Duration) string {
-	cpu := time.Duration(processCPUNanos())
+// driver commands print to stderr: wall time and process CPU time since
+// start with their ratio, the RSS high-water mark, and GC cycles.
+func FormatResources(start RunStart) string {
+	wall := time.Since(start.wall)
+	cpu := time.Duration(processCPUNanos() - start.cpu)
 	ratio := 0.0
 	if wall > 0 {
 		ratio = float64(cpu) / float64(wall)

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -69,7 +70,7 @@ func TestMarkUsage(t *testing.T) {
 // TestFormatResources pins the one-line resource summary's shape: the
 // stderr line every driver prints at exit.
 func TestFormatResources(t *testing.T) {
-	line := FormatResources(123 * time.Millisecond)
+	line := FormatResources(StartRun())
 	for _, want := range []string{"resources: wall", "cpu ", "max rss", "gc cycles"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("resource summary missing %q: %s", want, line)
@@ -77,5 +78,26 @@ func TestFormatResources(t *testing.T) {
 	}
 	if strings.ContainsAny(line, "\n") {
 		t.Errorf("resource summary is not one line: %q", line)
+	}
+}
+
+// TestFormatResourcesIdleRatio: the CPU/wall ratio covers the interval
+// since StartRun only. An idle 50 ms window must report a ratio below 1,
+// however much CPU the process spent before it (the test binary's start-up
+// and earlier tests).
+func TestFormatResourcesIdleRatio(t *testing.T) {
+	start := StartRun()
+	time.Sleep(50 * time.Millisecond)
+	line := FormatResources(start)
+	_, after, ok := strings.Cut(line, "(")
+	var ratio float64
+	if !ok {
+		t.Fatalf("no ratio in %q", line)
+	}
+	if _, err := fmt.Sscanf(after, "%fx)", &ratio); err != nil {
+		t.Fatalf("parse ratio in %q: %v", line, err)
+	}
+	if ratio >= 1 {
+		t.Errorf("idle window ratio %.2f, want below 1: %s", ratio, line)
 	}
 }

@@ -57,6 +57,10 @@ type Candidate struct {
 	// deps[k] is a bitmask of earlier constituent indices that constituent
 	// k reads a value from (internal dataflow edges).
 	deps [8]uint8
+
+	// key is TemplateKey, computed once by Enumerate; empty for candidates
+	// built elsewhere.
+	key string
 }
 
 // InternalDeps returns the bitmask of earlier constituents that constituent
@@ -156,6 +160,7 @@ func Enumerate(p *prog.Program, lim Limits) []*Candidate {
 			for n := 2; n <= maxN; n++ {
 				c := analyze(p, bi, start, n, lim)
 				if c != nil {
+					c.key = TemplateKey(p, c)
 					out = append(out, c)
 				}
 			}

@@ -153,7 +153,10 @@ func Select(p *prog.Program, cands []*Candidate, freq []int64, cfg SelectConfig)
 	byKey := make(map[string]*tmpl)
 	var keys []string
 	for _, c := range cands {
-		k := TemplateKey(p, c)
+		k := c.key
+		if k == "" {
+			k = TemplateKey(p, c)
+		}
 		t := byKey[k]
 		if t == nil {
 			t = &tmpl{n: c.N}

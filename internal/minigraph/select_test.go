@@ -229,6 +229,17 @@ func TestSelectionInvariantProperty(t *testing.T) {
 	}
 }
 
+// Select groups enumerated candidates by the key Enumerate stored, and
+// hand-built ones by TemplateKey; the two must agree.
+func TestEnumerateStoresTemplateKey(t *testing.T) {
+	p := loopProg(t)
+	for _, c := range Enumerate(p, DefaultLimits()) {
+		if want := TemplateKey(p, c); c.key != want {
+			t.Errorf("%v: stored key %q, TemplateKey %q", c, c.key, want)
+		}
+	}
+}
+
 func TestLayout(t *testing.T) {
 	p := loopProg(t)
 	sel := Select(p, Enumerate(p, DefaultLimits()), loopFreq(p), DefaultSelectConfig())

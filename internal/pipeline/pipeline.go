@@ -169,8 +169,9 @@ type machine struct {
 
 	// Last computed layout, kept across pooling: layouts are immutable and
 	// depend only on (program, selection), and a pooled machine almost
-	// always re-runs the same workload. The pinned program/selection are
-	// released whenever the GC clears the pool.
+	// always re-runs the same workload. Pooled machines live as long as the
+	// process, so each pins its last program, selection and layout until
+	// its next run replaces them.
 	layoutP   *prog.Program
 	layoutSel *minigraph.Selection
 	layoutC   *minigraph.Layout
@@ -270,7 +271,9 @@ func RunSched(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slac
 	m.recycle = !noRecycle
 	if prof != nil {
 		if cap(m.profRecs) < len(tr) {
-			m.profRecs = make([]profRec, len(tr))
+			// Grow geometrically: a pooled machine profiles benches of many
+			// lengths, and each growth would otherwise fit only this trace.
+			m.profRecs = make([]profRec, len(tr), max(len(tr), 2*cap(m.profRecs)))
 		}
 		m.profRecs = m.profRecs[:len(tr)]
 	}
@@ -1367,9 +1370,7 @@ func (m *machine) makeUop(it fetchItem) *uop {
 		}
 		if c.CtrlIdx >= 0 {
 			u.hasBranch = true
-			brStatic := it.static + c.CtrlIdx
-			brRec := m.tr[it.traceIdx+c.CtrlIdx]
-			m.predictBranch(u, brStatic, brRec)
+			m.predictBranch(u, it.static+c.CtrlIdx, it.traceIdx+c.CtrlIdx)
 		}
 		h.meta[s] = packMeta(u)
 		return u
@@ -1391,7 +1392,7 @@ func (m *machine) makeUop(it fetchItem) *uop {
 	}
 	if in.IsBranch() {
 		u.hasBranch = true
-		m.predictBranch(u, it.static, rec)
+		m.predictBranch(u, it.static, it.traceIdx)
 	}
 	h.meta[s] = packMeta(u)
 	if m.prof != nil {
@@ -1405,15 +1406,18 @@ func (m *machine) makeUop(it fetchItem) *uop {
 	return u
 }
 
-// predictBranch runs the front-end predictors for a control transfer at
-// fetch time and marks the uop mispredicted when the machine would have
-// fetched down the wrong path.
-func (m *machine) predictBranch(u *uop, static int, rec emu.Rec) {
+// predictBranch runs the front-end predictors for the control transfer at
+// trace record ti (static index static) at fetch time and marks the uop
+// mispredicted when the machine would have fetched down the wrong path.
+func (m *machine) predictBranch(u *uop, static, ti int) {
 	in := m.p.Code[static]
 	pc := prog.PCOf(static)
-	actualTaken := rec.Taken
+	actualTaken := m.tr[ti].Taken
 	u.actualTkn = actualTaken
-	actualNext := int(rec.Next)
+	actualNext := -1 // past the halt record
+	if ti+1 < len(m.tr) {
+		actualNext = int(m.tr[ti+1].Index)
+	}
 
 	switch {
 	case in.IsCondBranch():

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"runtime"
 	"sync"
 
 	"repro/internal/bpred"
@@ -10,12 +11,19 @@ import (
 )
 
 // Machine pooling. A machine's backing state — caches, predictor tables,
-// rings, slot arrays, uop slabs — depends only on its Config, and a full
-// simulation run leaves all of it allocated at steady-state size. Pooling
-// finished machines per Config and resetting them in place makes repeated
-// runs (sweeps, benchmarks) allocation-free after the
-// first: RunSched draws from the pool, simulates, copies the stats out and
-// returns the machine.
+// rings, slot arrays, uop slabs, profile records — depends only on its
+// Config, and a full simulation run leaves all of it allocated at
+// steady-state size. Pooling finished machines per Config and resetting
+// them in place makes repeated runs (sweeps, benchmarks) allocation-free
+// after the first: RunSched draws from the pool, simulates, copies the
+// stats out and returns the machine.
+//
+// Each Config keeps a bounded free list, not a sync.Pool: a sync.Pool is
+// emptied by every garbage collection, and a sweep whose live heap is small
+// collects often, so each collection would turn into rebuilt cache models
+// and re-allocated profile records. The free list holds at most GOMAXPROCS
+// machines per Config — as many as can run at once — and keeps them for the
+// life of the process.
 //
 // Correctness does not ride on which pooled machine a run gets: no
 // simulated outcome depends on slot numbering or pointer identity (the
@@ -23,17 +31,32 @@ import (
 // reset restores every field makeUop does not, so a reused machine is
 // indistinguishable from a fresh one. TestMachineReuseDeterministic holds
 // this invariant.
-var machinePools sync.Map // Config -> *sync.Pool of *machine
+var machinePools sync.Map // Config -> *machinePool
+
+type machinePool struct {
+	mu   sync.Mutex
+	free []*machine
+}
 
 // poolableSlots bounds the slot-array size a machine may retain in the
 // pool. Recycling keeps every run, profiling included, well under the
 // initial capacity; a run that outgrew it (e.g. with recycling disabled by
-// a test) would pin megabytes, so it is simulated and dropped.
+// a test) would pin megabytes for the rest of the process, so it is
+// simulated and dropped.
 const poolableSlots = 4096
 
 func getMachine(cfg Config) *machine {
 	if pi, ok := machinePools.Load(cfg); ok {
-		if m, _ := pi.(*sync.Pool).Get().(*machine); m != nil {
+		mp := pi.(*machinePool)
+		mp.mu.Lock()
+		var m *machine
+		if n := len(mp.free); n > 0 {
+			m = mp.free[n-1]
+			mp.free[n-1] = nil
+			mp.free = mp.free[:n-1]
+		}
+		mp.mu.Unlock()
+		if m != nil {
 			m.reset()
 			return m
 		}
@@ -41,9 +64,11 @@ func getMachine(cfg Config) *machine {
 	return newMachine(cfg)
 }
 
-// putMachine returns a successfully-finished machine to its Config's pool.
-// Per-run references (program, trace, observer, profile, layout) are
-// dropped first so pooling a machine never extends their lifetime.
+// putMachine returns a successfully-finished machine to its Config's free
+// list, or drops it when the list is full. Per-run references (trace,
+// observer, profile, current layout) are dropped first so pooling a
+// machine never extends their lifetime; the layout cache (layoutP and
+// friends) is kept on purpose.
 func putMachine(m *machine) {
 	if len(m.hot.uops) > poolableSlots {
 		return
@@ -58,8 +83,13 @@ func putMachine(m *machine) {
 	m.mon = nil
 	m.layout = nil
 	m.mgc = MGConfig{}
-	pi, _ := machinePools.LoadOrStore(m.cfg, &sync.Pool{})
-	pi.(*sync.Pool).Put(m)
+	pi, _ := machinePools.LoadOrStore(m.cfg, &machinePool{})
+	mp := pi.(*machinePool)
+	mp.mu.Lock()
+	if len(mp.free) < runtime.GOMAXPROCS(0) {
+		mp.free = append(mp.free, m)
+	}
+	mp.mu.Unlock()
 }
 
 // newMachine builds a machine with every queue sized from the config up

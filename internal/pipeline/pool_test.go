@@ -2,11 +2,14 @@ package pipeline
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/emu"
 	"repro/internal/minigraph"
 	"repro/internal/obs"
+	"repro/internal/slack"
 	"repro/internal/workload"
 )
 
@@ -39,8 +42,8 @@ func TestMachineReuseDeterministic(t *testing.T) {
 		t.Run(k.String(), func(t *testing.T) {
 			var first *Stats
 			var firstTrace []byte
-			// Sequential same-goroutine runs make sync.Pool reuse all but
-			// certain; three repeats cover fresh → pooled → pooled-again.
+			// Sequential runs reuse the pooled machine; three repeats cover
+			// fresh → pooled → pooled-again.
 			for i := 0; i < 3; i++ {
 				var buf bytes.Buffer
 				watch := &obs.Observer{Trace: obs.NewPipetrace(&buf)}
@@ -98,5 +101,69 @@ func TestMachineReuseAcrossConfigs(t *testing.T) {
 					cfg.Name, round, first[ci], st)
 			}
 		}
+	}
+}
+
+// TestPoolSurvivesGC: a pooled machine outlives garbage collections. After
+// two runtime.GC calls, a run of a pooled config must reuse the machine it
+// left in the free list, build no new one, and allocate no more than a
+// steady-state run. With a sync.Pool the collections would empty the pool,
+// and the run would rebuild the cache models and re-grow its profile
+// records (about 75 allocations and 1 MB here, against 4 allocations).
+func TestPoolSurvivesGC(t *testing.T) {
+	w := workload.Find("comm.crc32")
+	if w == nil {
+		t.Fatal("workload comm.crc32 not found")
+	}
+	p, _, _, err := w.Build("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := emu.Run(p, emu.Options{CollectTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Reduced()
+	cfg.Name = "pool-gc-test" // a Config, so a free list, of this test's own
+	acc := slack.NewAccumulator("pool-gc-test", p.NumInstrs())
+	run := func() {
+		if _, err := Run(p, res.Trace, cfg, MGConfig{}, acc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pooled := func() []*machine {
+		pi, ok := machinePools.Load(cfg)
+		if !ok {
+			t.Fatal("no free list for the config after a run")
+		}
+		mp := pi.(*machinePool)
+		mp.mu.Lock()
+		defer mp.mu.Unlock()
+		return append([]*machine(nil), mp.free...)
+	}
+	steady := uint64(testing.AllocsPerRun(5, run))
+	before := pooled()
+	if len(before) != 1 {
+		t.Fatalf("free list holds %d machines after sequential runs, want 1", len(before))
+	}
+
+	// The runtime's own post-collection cleanups can allocate while the run
+	// is measured, so the check takes the fewest allocations of three
+	// collect-then-run trials; a rebuilt machine would show in every one.
+	fewest := uint64(math.MaxUint64)
+	for trial := 0; trial < 3; trial++ {
+		runtime.GC()
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		run()
+		runtime.ReadMemStats(&m1)
+		fewest = min(fewest, m1.Mallocs-m0.Mallocs)
+		if after := pooled(); len(after) != 1 || after[0] != before[0] {
+			t.Fatalf("trial %d: the run after two GCs did not reuse the pooled machine", trial)
+		}
+	}
+	if fewest > steady {
+		t.Errorf("a run after two GCs made at least %d allocations, want at most the steady-state %d", fewest, steady)
 	}
 }

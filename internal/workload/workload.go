@@ -18,7 +18,9 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/prog"
 )
@@ -37,16 +39,19 @@ type Workload struct {
 	build func(scale int) (p *prog.Program, want uint32, verified bool)
 }
 
+// CheckInput returns an error unless input names one of Inputs.
+func CheckInput(input string) error {
+	if slices.Contains(Inputs, input) {
+		return nil
+	}
+	return fmt.Errorf("unknown input set %q (want %s)", input, strings.Join(Inputs, " or "))
+}
+
 // Build constructs the program for the named input set.
 func (w *Workload) Build(input string) (*prog.Program, uint32, bool, error) {
-	scale := -1
-	for i, in := range Inputs {
-		if in == input {
-			scale = i
-		}
-	}
+	scale := slices.Index(Inputs, input)
 	if scale < 0 {
-		return nil, 0, false, fmt.Errorf("workload %s: unknown input set %q", w.Name, input)
+		return nil, 0, false, fmt.Errorf("workload %s: %w", w.Name, CheckInput(input))
 	}
 	p, want, verified := w.build(scale)
 	return p, want, verified, nil
