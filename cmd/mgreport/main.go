@@ -37,7 +37,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -75,7 +74,7 @@ func main() {
 	flag.Parse()
 	runStart := metrics.StartRun()
 	only := splitNames(*workloads)
-	if err := checkFlags(*input, only, *workers, *intervals); err != nil {
+	if err := core.CheckFlags(*input, only, *workers, *intervals); err != nil {
 		fmt.Fprintln(os.Stderr, "mgreport:", err)
 		os.Exit(2)
 	}
@@ -178,26 +177,6 @@ func main() {
 		f.Close()
 	}
 	fmt.Fprintln(os.Stderr, metrics.FormatResources(runStart))
-}
-
-// checkFlags rejects flag values no sweep can run, before the first task
-// starts: an unknown input set or -only workload, or a negative count.
-func checkFlags(input string, only []string, workers int, intervals int64) error {
-	if err := workload.CheckInput(input); err != nil {
-		return fmt.Errorf("-input: %w", err)
-	}
-	for _, name := range only {
-		if workload.Find(name) == nil {
-			return fmt.Errorf("-only: unknown workload %q", name)
-		}
-	}
-	if workers < 0 {
-		return fmt.Errorf("-workers %d: must not be negative", workers)
-	}
-	if intervals < 0 {
-		return fmt.Errorf("-intervals %d: must not be negative", intervals)
-	}
-	return nil
 }
 
 // splitNames splits a comma-separated list, dropping empty entries.

@@ -63,7 +63,7 @@ func TestCheckFlags(t *testing.T) {
 		{"negative -workers", "small", nil, -1, 0, "-workers"},
 		{"negative -intervals", "small", nil, 0, -1, "-intervals"},
 	} {
-		err := checkFlags(c.input, c.only, c.workers, c.intervals)
+		err := core.CheckFlags(c.input, c.only, c.workers, c.intervals)
 		switch {
 		case c.flag == "" && err != nil:
 			t.Errorf("%s: unexpected error %v", c.name, err)

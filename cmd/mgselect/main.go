@@ -23,7 +23,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/selector"
 	"repro/internal/slack"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -46,12 +45,8 @@ func main() {
 		ledgerRev  = flag.String("ledger-rev", "", "revision label for ledger records (default: MG_REV or the binary's vcs revision)")
 	)
 	flag.Parse()
-	if err := workload.CheckInput(*input); err != nil {
-		fmt.Fprintln(os.Stderr, "mgselect: -input:", err)
-		os.Exit(2)
-	}
-	if *workers < 0 || *intervals < 0 {
-		fmt.Fprintf(os.Stderr, "mgselect: -workers %d, -intervals %d: must not be negative\n", *workers, *intervals)
+	if err := core.CheckFlags(*input, nil, *workers, *intervals); err != nil {
+		fmt.Fprintln(os.Stderr, "mgselect:", err)
 		os.Exit(2)
 	}
 	if *refsched {
@@ -129,11 +124,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	runStart := metrics.StartRun()
-	t0 := time.Now()
 	// Whole-process deltas, not per-thread: the run is not pinned to an OS
 	// thread, so a thread-local reading would miss time after a migration.
-	cpu0 := metrics.ProcessCPUNanos()
+	runStart := metrics.StartRun()
 	gc0 := metrics.GCCycleCount()
 	ctx, runSpan := metrics.StartSpan(context.Background(), "mgselect.run",
 		metrics.L("workload", *wName), metrics.L("selector", *selName))
@@ -186,11 +179,12 @@ func main() {
 	if led := core.RunLedger(); led != nil {
 		// Selection-only record: Cycles stays 0, so history queries list it
 		// but the compare gate never treats it as a timing point.
+		wall, cpu := runStart.Elapsed()
 		if aerr := led.Append(ledger.Record{
 			Tool: "mgselect", Workload: *wName, Series: sel.Name(), Input: *input,
 			Cache:    "run",
-			WallMS:   float64(time.Since(t0)) / float64(time.Millisecond),
-			CPUMS:    float64(metrics.ProcessCPUNanos()-cpu0) / 1e6,
+			WallMS:   float64(wall) / float64(time.Millisecond),
+			CPUMS:    float64(cpu) / float64(time.Millisecond),
 			MaxRSSKB: metrics.MaxRSSKB(),
 			GCCycles: metrics.GCCycleCount() - gc0,
 			Coverage: chosen.Coverage(),

@@ -87,12 +87,8 @@ func main() {
 	)
 	flag.Parse()
 	runStart := metrics.StartRun()
-	if err := workload.CheckInput(*input); err != nil {
-		fmt.Fprintln(os.Stderr, "mgsim: -input:", err)
-		os.Exit(2)
-	}
-	if *intervals < 0 {
-		fmt.Fprintf(os.Stderr, "mgsim: -intervals %d: must not be negative\n", *intervals)
+	if err := core.CheckFlags(*input, nil, 0, *intervals); err != nil {
+		fmt.Fprintln(os.Stderr, "mgsim:", err)
 		os.Exit(2)
 	}
 	if *refsched {

@@ -49,6 +49,28 @@ type Options struct {
 	Watchdog *WatchdogConfig
 }
 
+// CheckFlags rejects driver flag values no run can use, so a command can
+// refuse them before its first task: an unknown input set or workload name
+// in only, or a negative worker count or sampling interval. Each error
+// starts with the flag it names.
+func CheckFlags(input string, only []string, workers int, intervals int64) error {
+	if err := workload.CheckInput(input); err != nil {
+		return fmt.Errorf("-input: %w", err)
+	}
+	for _, name := range only {
+		if workload.Find(name) == nil {
+			return fmt.Errorf("-only: unknown workload %q", name)
+		}
+	}
+	if workers < 0 {
+		return fmt.Errorf("-workers %d: must not be negative", workers)
+	}
+	if intervals < 0 {
+		return fmt.Errorf("-intervals %d: must not be negative", intervals)
+	}
+	return nil
+}
+
 func (o Options) input() string {
 	if o.Input == "" {
 		return "large"

@@ -124,12 +124,17 @@ type RunStart struct {
 // StartRun marks the start of a run for FormatResources.
 func StartRun() RunStart { return RunStart{wall: time.Now(), cpu: processCPUNanos()} }
 
+// Elapsed returns the wall time and the whole-process CPU time since the
+// mark.
+func (s RunStart) Elapsed() (wall, cpu time.Duration) {
+	return time.Since(s.wall), time.Duration(processCPUNanos() - s.cpu)
+}
+
 // FormatResources renders the one-line end-of-run resource summary the
 // driver commands print to stderr: wall time and process CPU time since
 // start with their ratio, the RSS high-water mark, and GC cycles.
 func FormatResources(start RunStart) string {
-	wall := time.Since(start.wall)
-	cpu := time.Duration(processCPUNanos() - start.cpu)
+	wall, cpu := start.Elapsed()
 	ratio := 0.0
 	if wall > 0 {
 		ratio = float64(cpu) / float64(wall)

@@ -271,9 +271,7 @@ func RunSched(p *prog.Program, tr []emu.Rec, cfg Config, mg MGConfig, prof *slac
 	m.recycle = !noRecycle
 	if prof != nil {
 		if cap(m.profRecs) < len(tr) {
-			// Grow geometrically: a pooled machine profiles benches of many
-			// lengths, and each growth would otherwise fit only this trace.
-			m.profRecs = make([]profRec, len(tr), max(len(tr), 2*cap(m.profRecs)))
+			m.profRecs = make([]profRec, len(tr))
 		}
 		m.profRecs = m.profRecs[:len(tr)]
 	}

@@ -108,7 +108,7 @@ func TestMachineReuseAcrossConfigs(t *testing.T) {
 // two runtime.GC calls, a run of a pooled config must reuse the machine it
 // left in the free list, build no new one, and allocate no more than a
 // steady-state run. With a sync.Pool the collections would empty the pool,
-// and the run would rebuild the cache models and re-grow its profile
+// and the run would rebuild the cache models and re-allocate its profile
 // records (about 75 allocations and 1 MB here, against 4 allocations).
 func TestPoolSurvivesGC(t *testing.T) {
 	w := workload.Find("comm.crc32")
