@@ -64,12 +64,13 @@ func Caches() CacheCounters {
 	return CacheCounters{Benches: benchCache.Stats(), Results: resultCache.Stats()}
 }
 
-// ResetCaches drops all cached benches and results (tests, memory
-// pressure).
+// ResetCaches drops all cached benches and results and the pooled
+// simulation machines (tests, memory pressure, repeated measurements).
 func ResetCaches() {
 	benchCache.Reset()
 	resultCache.Reset()
 	candsCache.Reset()
+	pipeline.ReleaseMachines()
 }
 
 // SetCachingDisabled bypasses all process-wide caches (the -nocache escape

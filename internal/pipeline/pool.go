@@ -21,11 +21,10 @@ import (
 // Each Config keeps a bounded free list, not a sync.Pool: a sync.Pool is
 // emptied by garbage collections, and each emptying turns into rebuilt
 // cache models and re-allocated profile records. On the reproduction
-// benchmark's cross-train workload, which collects before every timed
-// iteration, that was 44 of its 53 MB allocated and a fifth of its peak
-// RSS (DESIGN.md §4). The free list holds at most GOMAXPROCS machines per
-// Config — as many as can run at once — and keeps them for the life of the
-// process.
+// benchmark's cross-train workload that was 12 of its 55 MB allocated and
+// 8 of its 124 MB peak RSS (DESIGN.md §4). The free list holds at most
+// GOMAXPROCS machines per Config — as many as can run at once — and keeps
+// them until ReleaseMachines.
 //
 // Correctness does not ride on which pooled machine a run gets: no
 // simulated outcome depends on slot numbering or pointer identity (the
@@ -38,6 +37,18 @@ var machinePools sync.Map // Config -> *machinePool
 type machinePool struct {
 	mu   sync.Mutex
 	free []*machine
+}
+
+// ReleaseMachines empties every Config's free list, so later runs build
+// fresh machines. core.ResetCaches calls it: a pooled machine pins its
+// cache models, profile records and last layout, and a reset leaves the
+// process as a fresh one would be, so repeated measurements each start
+// from the same state.
+func ReleaseMachines() {
+	machinePools.Range(func(cfg, _ any) bool {
+		machinePools.Delete(cfg)
+		return true
+	})
 }
 
 // poolableSlots bounds the slot-array size a machine may retain in the

@@ -134,7 +134,7 @@ func TestPoolSurvivesGC(t *testing.T) {
 	pooled := func() []*machine {
 		pi, ok := machinePools.Load(cfg)
 		if !ok {
-			t.Fatal("no free list for the config after a run")
+			return nil
 		}
 		mp := pi.(*machinePool)
 		mp.mu.Lock()
@@ -165,5 +165,17 @@ func TestPoolSurvivesGC(t *testing.T) {
 	}
 	if fewest > steady {
 		t.Errorf("a run after two GCs made at least %d allocations, want at most the steady-state %d", fewest, steady)
+	}
+
+	// ReleaseMachines (core.ResetCaches) ends the pool's life: repeated
+	// measurements rely on it, since a free list kept from an earlier
+	// measurement would make the next one allocate less.
+	ReleaseMachines()
+	if n := len(pooled()); n != 0 {
+		t.Fatalf("free list holds %d machines after ReleaseMachines, want 0", n)
+	}
+	run()
+	if after := pooled(); len(after) != 1 || after[0] == before[0] {
+		t.Fatal("the run after ReleaseMachines reused the released machine")
 	}
 }
